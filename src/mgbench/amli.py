@@ -167,14 +167,23 @@ def _monotone(history):
 
 @dataclass
 class SolveReport:
+    """Outcome of stationary_solve; status is 'converged', 'max_iter',
+    'diverged' or 'nonfinite'."""
     iterations: int
-    converged: bool
-    diverged: bool
+    status: str
     residual_history: list
     energy_error_history: list = None
     measured_final_contraction: float = float("nan")
     residual_monotone: bool = True
     energy_monotone: bool = None
+
+    @property
+    def converged(self):
+        return self.status == "converged"
+
+    @property
+    def diverged(self):
+        return self.status == "diverged"
 
 
 def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
@@ -183,8 +192,10 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
 
     tol_kind 'rel_residual' stops when ||f - A u|| <= tol * ||f||; tol_kind
     'energy_error' stops when ||u - u_exact||_A <= tol (absolute) and
-    requires u_exact.  A residual blow-up by 1e6 over its starting value
-    marks the report as diverged.
+    requires u_exact.  The report's status names the exit: 'converged',
+    'max_iter' (max_iter iterations without meeting tol), 'diverged' (the
+    residual grew by 1e6 over its starting value) or 'nonfinite' (the
+    residual or energy error became inf or NaN).
     """
     if tol_kind not in ("rel_residual", "energy_error"):
         raise ValueError("unknown tol_kind %r" % tol_kind)
@@ -204,26 +215,32 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
         e = v - u_exact
         return float(np.sqrt(max(np.dot(A @ e, e), 0.0)))
 
-    residual_history = [float(np.linalg.norm(f - A @ u))]
+    r = f - A @ u
+    residual_history = [float(np.linalg.norm(r))]
     energy_history = [energy_error(u)] if u_exact is not None else None
+    start = residual_history[0]
 
     def monitored():
         if tol_kind == "rel_residual":
             return residual_history[-1] / f_scale
         return energy_history[-1]
 
-    diverged = False
+    def status():
+        """The status a stop now would report; the loop runs while it is 'max_iter'."""
+        if not math.isfinite(residual_history[-1]) or not math.isfinite(monitored()):
+            return "nonfinite"
+        if residual_history[-1] > DIVERGENCE_FACTOR * max(start, f_scale):
+            return "diverged"
+        return "converged" if monitored() <= tol else "max_iter"
+
     iterations = 0
-    start = residual_history[0]
-    while monitored() > tol and iterations < max_iter:
-        u = u + operator(f - A @ u)
+    while status() == "max_iter" and iterations < max_iter:
+        u = u + operator(r)
         iterations += 1
-        residual_history.append(float(np.linalg.norm(f - A @ u)))
+        r = f - A @ u
+        residual_history.append(float(np.linalg.norm(r)))
         if energy_history is not None:
             energy_history.append(energy_error(u))
-        if residual_history[-1] > DIVERGENCE_FACTOR * max(start, f_scale):
-            diverged = True
-            break
 
     history = residual_history if tol_kind == "rel_residual" else energy_history
     contraction = float("nan")
@@ -231,8 +248,7 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
         contraction = history[-1] / history[-2]
     return SolveReport(
         iterations=iterations,
-        converged=(not diverged) and monitored() <= tol,
-        diverged=diverged,
+        status=status(),
         residual_history=residual_history,
         energy_error_history=energy_history,
         measured_final_contraction=contraction,

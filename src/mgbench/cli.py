@@ -156,9 +156,17 @@ def run_experiment(config):
 
 
 def emit_table(rows, col_labels, fmt, max_iter, row_header="k"):
-    """Render the iteration-count grid as csv or a markdown pipe table."""
+    """Render the iteration-count grid as csv or a markdown pipe table.
+
+    A converged cell shows its iteration count, a cell that ran out of
+    iterations shows >max_iter, and any other exit shows its status name.
+    """
     def cell(report):
-        return str(report.iterations) if report.converged else ">%d" % max_iter
+        if report.status == "converged":
+            return str(report.iterations)
+        if report.status == "max_iter":
+            return ">%d" % max_iter
+        return report.status
 
     if fmt == "csv":
         lines = [",".join([row_header] + list(col_labels))]

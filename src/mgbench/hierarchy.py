@@ -60,6 +60,14 @@ class Hierarchy:
         return "\n".join(lines)
 
 
+# (dx, dy, weight) of a coarse node's fine neighbours: the node itself and
+# the midpoints of its horizontal, vertical and lower-left/upper-right edges
+_P_STENCIL = ((0, 0, 1.0),
+              (-1, 0, 0.5), (1, 0, 0.5),
+              (0, -1, 0.5), (0, 1, 0.5),
+              (-1, -1, 0.5), (1, 1, 0.5))
+
+
 def geometric_prolongator(k):
     """Linear-interpolation prolongator from mesh level k-1 into level k.
 
@@ -71,20 +79,13 @@ def geometric_prolongator(k):
         raise ValueError("prolongator needs k >= 2, got %d" % k)
     nc = 2 ** (k - 1) - 1
     nf = 2 ** k - 1
-    rows, cols, vals = [], [], []
-    for jc in range(1, nc + 1):
-        for ic in range(1, nc + 1):
-            col = (jc - 1) * nc + (ic - 1)
-            fx, fy = 2 * ic, 2 * jc
-            stencil = ((fx, fy, 1.0),
-                       (fx - 1, fy, 0.5), (fx + 1, fy, 0.5),
-                       (fx, fy - 1, 0.5), (fx, fy + 1, 0.5),
-                       (fx - 1, fy - 1, 0.5), (fx + 1, fy + 1, 0.5))
-            for x, y, v in stencil:
-                if 1 <= x <= nf and 1 <= y <= nf:
-                    rows.append((y - 1) * nf + (x - 1))
-                    cols.append(col)
-                    vals.append(v)
+    col = np.arange(nc * nc)
+    jc, ic = np.divmod(col, nc)
+    fx, fy = 2 * ic + 1, 2 * jc + 1    # 0-based fine coordinates of the coarse nodes
+    # an interior coarse node's edge midpoints are all interior fine nodes
+    rows = np.concatenate([(fy + dy) * nf + (fx + dx) for dx, dy, _ in _P_STENCIL])
+    cols = np.tile(col, len(_P_STENCIL))
+    vals = np.repeat([v for _, _, v in _P_STENCIL], nc * nc)
     return as_csr(sp.csr_matrix((vals, (rows, cols)), shape=(nf * nf, nc * nc)))
 
 

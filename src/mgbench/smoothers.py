@@ -5,6 +5,13 @@ Kinds: 'gs' (forward Gauss-Seidel, (D+L)^-1; adjoint is backward GS),
 compose the error propagator, i.e. s sweeps give I - (I - RA)^s A-solve
 behaviour.  The symmetrized composite is defined through
 I - Rt_comp A = (I - R A)(I - R^t A).
+
+Gauss-Seidel scales its triangle once per level, when it is bound: it
+stores D^-1 and the unit lower triangle M = (D+L) D^-1, so that each sweep
+is one unit-triangular solve and a diagonal scaling.  The backward sweep
+solves with M^t = D^-1 (D + L^t), which is D^-1 (D+U) only for symmetric A:
+apply_transpose relies on A being symmetric, as every matrix the package
+builds is.
 """
 from dataclasses import dataclass
 
@@ -35,7 +42,7 @@ class SmootherSpec:
 
 
 class BoundSmoother:
-    """SmootherSpec bound to a concrete matrix, with cached triangles/scalings."""
+    """SmootherSpec bound to a concrete matrix, with its scaled triangle or scaling."""
 
     def __init__(self, A, spec):
         self.A = A
@@ -45,8 +52,14 @@ class BoundSmoother:
             raise ValueError("zero diagonal entry at index %d"
                              % int(np.argmin(d != 0.0)))
         if spec.kind == "gs":
-            self._lower = sp.tril(A, format="csr")
-            self._upper = sp.triu(A, format="csr")
+            self._inv_d = 1.0 / d
+            # (D+L) = M D with M unit lower; CSC is what the solver takes as is
+            M = sp.tril(A, format="csc")
+            M.data *= np.repeat(self._inv_d, np.diff(M.indptr))   # column scaling
+            M.eliminate_zeros()
+            M.setdiag(1.0)
+            self._unit_lower = M
+            self._unit_upper = M.T    # shares M's arrays; D+U = D M^t for symmetric A
         elif spec.kind == "jacobi":
             if not 0.0 < spec.weight < 2.0:
                 raise ValueError("Jacobi weight must lie in (0, 2), got %g"
@@ -62,9 +75,15 @@ class BoundSmoother:
     def _single(self, f, transpose):
         kind = self.spec.kind
         if kind == "gs":
+            # overwrite_A lets the solver set the unit diagonal in place, which
+            # M already has, instead of copying M on every call
             if transpose:
-                return spsolve_triangular(self._upper, f, lower=False)
-            return spsolve_triangular(self._lower, f, lower=True)
+                return spsolve_triangular(self._unit_upper, self._inv_d * f,
+                                          lower=False, unit_diagonal=True,
+                                          overwrite_A=True, overwrite_b=True)
+            return self._inv_d * spsolve_triangular(
+                self._unit_lower, f, lower=True, unit_diagonal=True,
+                overwrite_A=True)
         return self._scale * f
 
     def _sweep(self, f, transpose):

@@ -270,6 +270,42 @@ def test_stationary_solve_divergence_flag():
     assert report.diverged and not report.converged
 
 
+def test_stationary_solve_names_nonfinite_exit():
+    A, f = assemble_poisson(4)
+    report = stationary_solve(lambda r: np.full_like(r, np.nan), A, f)
+    assert report.status == "nonfinite"
+    assert report.iterations == 1
+    assert not report.converged and not report.diverged
+    inf = stationary_solve(lambda r: np.full_like(r, np.inf), A, f)
+    assert inf.status == "nonfinite" and inf.iterations == 1
+
+
+def test_stationary_solve_statuses():
+    A, f = assemble_poisson(3)
+    h = build_geometric("poisson", 3)
+    v = lambda r: apply_v_cycle(h, 3, r)
+    assert stationary_solve(v, A, f).status == "converged"
+    assert stationary_solve(v, A, f, max_iter=1).status == "max_iter"
+    assert stationary_solve(lambda r: -1e7 * r, A, f).status == "diverged"
+
+
+def test_stationary_solve_one_matvec_per_iteration():
+    A, f = assemble_poisson(3)
+    h = build_geometric("poisson", 3)
+    matvecs = []
+
+    class Counting:
+        shape = A.shape
+
+        def __matmul__(self, x):
+            matvecs.append(1)
+            return A @ x
+
+    report = stationary_solve(lambda r: apply_v_cycle(h, 3, r), Counting(), f)
+    assert report.converged
+    assert len(matvecs) == report.iterations + 1
+
+
 def test_stationary_solve_energy_mode():
     A, _ = assemble_poisson(3)
     h = build_geometric("poisson", 3)

@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
-from mgbench.cli import main, parse_int_list, parse_truncation, size_to_level
+from mgbench import SolveReport
+from mgbench.cli import (emit_table, main, parse_int_list, parse_truncation,
+                         size_to_level)
 
 
 def run_cli(args, capsys):
@@ -90,6 +92,15 @@ def test_nonconverged_cells_and_exit_code(capsys):
                          "--cycle", "v", "--max-iter", "1"], capsys)
     assert code == 1
     assert ">1" in out
+
+
+def test_table_names_failed_exits():
+    reports = [SolveReport(iterations=3, status="converged", residual_history=[]),
+               SolveReport(iterations=9, status="max_iter", residual_history=[]),
+               SolveReport(iterations=1, status="nonfinite", residual_history=[]),
+               SolveReport(iterations=2, status="diverged", residual_history=[])]
+    out = emit_table([(4, reports)], ["a", "b", "c", "d"], "csv", 9)
+    assert out.splitlines()[1] == "4,3,>9,nonfinite,diverged"
 
 
 def test_ua_rows_keyed_by_size(capsys):

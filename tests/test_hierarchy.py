@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mgbench import (CoarseningStagnation, DENSE_LIMIT, aggregate,
+from mgbench import (CoarseningStagnation, DENSE_LIMIT, aggregate, as_csr,
                      assemble_poisson, a_inner, build_geometric, build_ua_amg,
                      geometric_prolongator, piecewise_constant_prolongator,
                      rap)
@@ -45,6 +45,36 @@ def test_geometric_prolongator_matches_embedding_oracle(k):
                     expect = coarse_hat_value(ic, jc, k, if_ * hf, jf * hf)
                     got = P[(jf - 1) * nf + (if_ - 1), col]
                     assert got == pytest.approx(expect, abs=1e-13)
+
+
+def loop_prolongator(k):
+    """Node-by-node reference for geometric_prolongator."""
+    nc = 2 ** (k - 1) - 1
+    nf = 2 ** k - 1
+    rows, cols, vals = [], [], []
+    for jc in range(1, nc + 1):
+        for ic in range(1, nc + 1):
+            col = (jc - 1) * nc + (ic - 1)
+            fx, fy = 2 * ic, 2 * jc
+            stencil = ((fx, fy, 1.0),
+                       (fx - 1, fy, 0.5), (fx + 1, fy, 0.5),
+                       (fx, fy - 1, 0.5), (fx, fy + 1, 0.5),
+                       (fx - 1, fy - 1, 0.5), (fx + 1, fy + 1, 0.5))
+            for x, y, v in stencil:
+                if 1 <= x <= nf and 1 <= y <= nf:
+                    rows.append((y - 1) * nf + (x - 1))
+                    cols.append(col)
+                    vals.append(v)
+    return as_csr(sp.csr_matrix((vals, (rows, cols)), shape=(nf * nf, nc * nc)))
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_geometric_prolongator_matches_loop_reference(k):
+    P, ref = geometric_prolongator(k), loop_prolongator(k)
+    assert P.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(P, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_prolongator_k2_shape_and_values():

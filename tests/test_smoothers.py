@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_triangular
 
-from mgbench import (SmootherSpec, a_norm, as_csr, assemble_poisson, bind,
-                     composite_tilde, measure_smoothing_constant, smooth,
-                     smooth_transpose, spectral_radius)
+from mgbench import (SmootherSpec, a_norm, as_csr, assemble_jump,
+                     assemble_poisson, bind, build_ua_amg, composite_tilde,
+                     measure_smoothing_constant, smooth, smooth_transpose,
+                     spectral_radius)
 
 A22 = as_csr(sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 4.0]])))
 GS = SmootherSpec("gs")
@@ -151,3 +154,65 @@ def test_validation_errors():
 
 def test_alias_accepted():
     assert SmootherSpec("forward_gauss_seidel").kind == "gs"
+
+
+# Gauss-Seidel on matrices whose diagonal varies from row to row: with a
+# constant diagonal, scaling the triangle on the wrong side cannot show.
+
+def dense_gs(A, f, sweeps, transpose):
+    """s sweeps of (D+L)^-1, or of (D+U)^-1 if transpose, by dense solves."""
+    Ad = A.toarray()
+    T = np.triu(Ad) if transpose else np.tril(Ad)
+    u = solve_triangular(T, f, lower=not transpose)
+    for _ in range(sweeps - 1):
+        u = u + solve_triangular(T, f - Ad @ u, lower=not transpose)
+    return u
+
+
+def check_gs_variable_diagonal(A, rng):
+    for sweeps in (1, 2):
+        sm = bind(A, SmootherSpec("gs", sweeps=sweeps))
+        for _ in range(3):
+            f, g = rng.standard_normal(A.shape[0]), rng.standard_normal(A.shape[0])
+            for transpose, got in ((False, sm.apply(f)),
+                                   (True, sm.apply_transpose(f))):
+                ref = dense_gs(A, f, sweeps, transpose)
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+            lhs = np.dot(sm.apply(f), g)
+            rhs = np.dot(f, sm.apply_transpose(g))
+            assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
+
+
+def test_gs_variable_diagonal_jump_matrix():
+    A, _ = assemble_jump(4)
+    assert np.ptp(A.diagonal()) > 0.0
+    check_gs_variable_diagonal(A, np.random.default_rng(6))
+
+
+def test_gs_variable_diagonal_ua_coarse_level():
+    h = build_ua_amg(assemble_poisson(5)[0])
+    A = h.level(h.n_levels - 1).A
+    assert np.ptp(A.diagonal()) > 0.0
+    check_gs_variable_diagonal(A, np.random.default_rng(7))
+
+
+@st.composite
+def spd_m_matrices(draw):
+    """Weighted graph Laplacian plus a positive diagonal shift."""
+    n = draw(st.integers(2, 24))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node, st.floats(0.1, 10.0)),
+                          max_size=4 * n))
+    shift = draw(st.lists(st.floats(0.01, 5.0), min_size=n, max_size=n))
+    W = np.zeros((n, n))
+    for i, j, w in edges:
+        if i != j:
+            W[i, j] += w
+            W[j, i] += w
+    return as_csr(sp.csr_matrix(np.diag(W.sum(axis=1) + shift) - W))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(A=spd_m_matrices())
+def test_gs_variable_diagonal_generated_m_matrix(A):
+    check_gs_variable_diagonal(A, np.random.default_rng(8))
