@@ -1,12 +1,14 @@
-"""Nonlinear PCG and the AMLI cycles built on it, plus the outer driver.
+"""The multigrid cycle engine, nonlinear PCG, and the outer driver.
 
 The nonlinear (flexible) PCG accepts an arbitrary nonlinear operator as a
 preconditioner and explicitly A-orthogonalizes each new search direction
 against stored ones: all of them (full version), a sliding window of the
 most recent m+1 (window m), or none (preconditioned steepest descent).
 
-The AMLI cycles replace the single coarse-grid solve of the linear cycles
-by n_inner steps of this PCG, preconditioned by the coarser-level cycle.
+Every cycle is one recursion, apply_cycle.  The linear \\- and V-cycles
+correct with the same cycle one level down; the AMLI cycles replace that
+coarse-grid solve by n_inner steps of this PCG, preconditioned by the
+coarser-level cycle.  Restriction is the prolongator transpose.
 """
 import math
 from dataclasses import dataclass, field
@@ -64,9 +66,13 @@ def run_pcg(A, precond, f, params):
     u_{i+1} = u_i + alpha_i p_i,  r_{i+1} = r_i - alpha_i A p_i,
     alpha_i = (r_i, p_i)/(p_i, p_i)_A.
     Exits early once ||r|| <= 1e-14 ||f||; a direction with vanishing energy
-    raises PCGBreakdownError.
+    raises PCGBreakdownError, and an f whose length is not A's raises
+    ValueError.
     """
     f = np.asarray(f, float)
+    if f.shape[0] != A.shape[0]:
+        raise ValueError("dimension mismatch: matrix is %d, right-hand side "
+                         "has length %d" % (A.shape[0], f.shape[0]))
     u = np.zeros_like(f)
     r = f.copy()
     state = PcgState(iterate=u, residual=r, residuals=[r.copy()])
@@ -108,46 +114,69 @@ def nonlinear_pcg(A, precond, f, params):
     return run_pcg(A, precond, f, params).iterate
 
 
-def apply_amli_ns(h, k, f, params):
-    """Nonsymmetric nonlinear AMLI cycle (pre-smoothing only) at level k."""
+def apply_cycle(h, k, f, symmetric, params=None):
+    """One multigrid cycle at level k with a zero initial guess.
+
+    Pre-smooth with R, restrict the residual with P^t, correct on the
+    coarser level and prolongate; a symmetric cycle then post-smooths with
+    R^t.  The coarse correction is this cycle one level down when params
+    is None (the linear \\- and V-cycles), or params.n_inner nonlinear PCG
+    steps preconditioned by it (the AMLI cycles).  The coarsest level is
+    solved exactly.
+    """
     lv = h.level(k)
+    if f.shape[0] != lv.A.shape[0]:
+        raise ValueError("dimension mismatch at level %d: matrix is %d, "
+                         "vector has length %d" % (k, lv.A.shape[0], f.shape[0]))
     if k == 1:
         return h.coarsest_solver.solve(f)
     u1 = lv.smoother.apply(f)
-    P = h.level(k - 1).P_to_finer
+    coarser = h.level(k - 1)
+    P = coarser.P_to_finer
     g = P.T @ (f - lv.A @ u1)
-    coarse = nonlinear_pcg(h.level(k - 1).A,
-                           lambda rr: apply_amli_ns(h, k - 1, rr, params),
-                           g, params)
-    return u1 + P @ coarse
+    if params is None:
+        coarse = apply_cycle(h, k - 1, g, symmetric)
+    else:
+        coarse = nonlinear_pcg(
+            coarser.A, lambda rr: apply_cycle(h, k - 1, rr, symmetric, params),
+            g, params)
+    u2 = u1 + P @ coarse
+    if not symmetric:
+        return u2
+    return u2 + lv.smoother.apply_transpose(f - lv.A @ u2)
+
+
+def apply_backslash(h, k, f):
+    """\\-cycle at level k: pre-smoothing only, linear coarse correction."""
+    return apply_cycle(h, k, f, symmetric=False)
+
+
+def apply_v_cycle(h, k, f):
+    """V-cycle at level k: pre- and post-smoothing, linear coarse correction."""
+    return apply_cycle(h, k, f, symmetric=True)
+
+
+def apply_amli_ns(h, k, f, params):
+    """Nonsymmetric nonlinear AMLI cycle (pre-smoothing only) at level k."""
+    return apply_cycle(h, k, f, symmetric=False, params=params)
 
 
 def apply_amli(h, k, f, params):
     """Symmetric nonlinear AMLI cycle (pre- and post-smoothing) at level k."""
-    lv = h.level(k)
-    if k == 1:
-        return h.coarsest_solver.solve(f)
-    u1 = lv.smoother.apply(f)
-    P = h.level(k - 1).P_to_finer
-    g = P.T @ (f - lv.A @ u1)
-    coarse = nonlinear_pcg(h.level(k - 1).A,
-                           lambda rr: apply_amli(h, k - 1, rr, params),
-                           g, params)
-    u2 = u1 + P @ coarse
-    return u2 + lv.smoother.apply_transpose(f - lv.A @ u2)
+    return apply_cycle(h, k, f, symmetric=True, params=params)
 
 
 def apply_amli_tilde(h, k, f, params):
     """n_inner PCG steps at level k preconditioned by the symmetric AMLI cycle."""
     return nonlinear_pcg(h.level(k).A,
-                         lambda rr: apply_amli(h, k, rr, params),
+                         lambda rr: apply_cycle(h, k, rr, True, params),
                          f, params)
 
 
 def apply_amli_tilde_ns(h, k, f, params):
     """n_inner PCG steps at level k preconditioned by the nonsymmetric AMLI cycle."""
     return nonlinear_pcg(h.level(k).A,
-                         lambda rr: apply_amli_ns(h, k, rr, params),
+                         lambda rr: apply_cycle(h, k, rr, False, params),
                          f, params)
 
 
@@ -168,7 +197,7 @@ def _monotone(history):
 @dataclass
 class SolveReport:
     """Outcome of stationary_solve; status is 'converged', 'max_iter',
-    'diverged' or 'nonfinite'."""
+    'diverged', 'nonfinite' or 'breakdown'."""
     iterations: int
     status: str
     residual_history: list
@@ -194,8 +223,9 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
     'energy_error' stops when ||u - u_exact||_A <= tol (absolute) and
     requires u_exact.  The report's status names the exit: 'converged',
     'max_iter' (max_iter iterations without meeting tol), 'diverged' (the
-    residual grew by 1e6 over its starting value) or 'nonfinite' (the
-    residual or energy error became inf or NaN).
+    residual grew by 1e6 over its starting value), 'nonfinite' (the
+    residual or energy error became inf or NaN) or 'breakdown' (the
+    operator raised PCGBreakdownError; the iterate before that call stands).
     """
     if tol_kind not in ("rel_residual", "energy_error"):
         raise ValueError("unknown tol_kind %r" % tol_kind)
@@ -234,8 +264,13 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
         return "converged" if monitored() <= tol else "max_iter"
 
     iterations = 0
+    exit_status = None
     while status() == "max_iter" and iterations < max_iter:
-        u = u + operator(r)
+        try:
+            u = u + operator(r)
+        except PCGBreakdownError:
+            exit_status = "breakdown"
+            break
         iterations += 1
         r = f - A @ u
         residual_history.append(float(np.linalg.norm(r)))
@@ -248,7 +283,7 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
         contraction = history[-1] / history[-2]
     return SolveReport(
         iterations=iterations,
-        status=status(),
+        status=exit_status or status(),
         residual_history=residual_history,
         energy_error_history=energy_history,
         measured_final_contraction=contraction,

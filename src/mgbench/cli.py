@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
-    apply_amli_tilde_ns, required_n, stationary_solve
-from .cycles import apply_backslash, apply_v_cycle
+    apply_amli_tilde_ns, apply_backslash, apply_v_cycle, required_n, \
+    stationary_solve
 from .hierarchy import DEFAULT_MAX_LEVELS, DEFAULT_MIN_COARSE, DEFAULT_THETA, \
     build_geometric, build_ua_amg
 from .problems import assemble_jump, assemble_poisson
@@ -27,10 +27,15 @@ from .verify import CheckReport, check_approximation_constant, \
 
 DEFAULT_SEED = 20240501
 
-CYCLE_TOKENS = ("v", "backslash", "amli", "amli-ns", "amli-tilde", "amli-tilde-ns")
-_LABELS = {"v": "V", "backslash": "backslash", "amli": "Bhat",
-           "amli-ns": "Bhat_ns", "amli-tilde": "Btilde",
-           "amli-tilde-ns": "Btilde_ns"}
+# token -> (column label, cycle function, takes inner PCG steps)
+CYCLES = {
+    "v": ("V", apply_v_cycle, False),
+    "backslash": ("backslash", apply_backslash, False),
+    "amli": ("Bhat", apply_amli, True),
+    "amli-ns": ("Bhat_ns", apply_amli_ns, True),
+    "amli-tilde": ("Btilde", apply_amli_tilde, True),
+    "amli-tilde-ns": ("Btilde_ns", apply_amli_tilde_ns, True),
+}
 
 
 def parse_int_list(text):
@@ -72,32 +77,20 @@ def load_config(path):
 
 
 def _columns(cycles, npcg, truncation):
+    """(label, cycle function, extra arguments) for each table column."""
     cols = []
     for cycle in cycles:
-        if cycle not in CYCLE_TOKENS:
+        if cycle not in CYCLES:
             raise ValueError("unknown cycle %r (expected one of %s)"
-                             % (cycle, "|".join(CYCLE_TOKENS)))
-        if cycle in ("v", "backslash"):
-            cols.append((_LABELS[cycle], cycle, None))
-        else:
-            kind = ("amli_nonsymmetric" if cycle.endswith("-ns")
-                    else "amli_symmetric")
-            for n in npcg:
-                params = CycleParams(n_inner=n, truncation=truncation, kind=kind)
-                cols.append(("%s_npcg%d" % (_LABELS[cycle], n), cycle, params))
+                             % (cycle, "|".join(CYCLES)))
+        label, fn, inner_steps = CYCLES[cycle]
+        if not inner_steps:
+            cols.append((label, fn, ()))
+            continue
+        for n in npcg:
+            params = CycleParams(n_inner=n, truncation=truncation)
+            cols.append(("%s_npcg%d" % (label, n), fn, (params,)))
     return cols
-
-
-def _operator(cycle, h, params):
-    top = h.n_levels
-    return {
-        "v": lambda r: apply_v_cycle(h, top, r),
-        "backslash": lambda r: apply_backslash(h, top, r),
-        "amli": lambda r: apply_amli(h, top, r, params),
-        "amli-ns": lambda r: apply_amli_ns(h, top, r, params),
-        "amli-tilde": lambda r: apply_amli_tilde(h, top, r, params),
-        "amli-tilde-ns": lambda r: apply_amli_tilde_ns(h, top, r, params),
-    }[cycle]
 
 
 def run_experiment(config):
@@ -141,8 +134,9 @@ def run_experiment(config):
             raise ValueError("unknown problem %r" % problem)
 
         row = []
-        for _name, cycle, params in cols:
-            op = _operator(cycle, h, params)
+        for _name, fn, extra in cols:
+            def op(r):
+                return fn(h, h.n_levels, r, *extra)
             try:
                 report = stationary_solve(op, A, f, u0=u0, tol=tol,
                                           tol_kind=tol_kind, max_iter=max_iter,
@@ -159,7 +153,8 @@ def emit_table(rows, col_labels, fmt, max_iter, row_header="k"):
     """Render the iteration-count grid as csv or a markdown pipe table.
 
     A converged cell shows its iteration count, a cell that ran out of
-    iterations shows >max_iter, and any other exit shows its status name.
+    iterations shows >max_iter, and any other exit (diverged, nonfinite,
+    breakdown) shows its status name.
     """
     def cell(report):
         if report.status == "converged":
@@ -199,7 +194,7 @@ def build_parser():
     run.add_argument("--levels", default=None, help="e.g. 5..9 or 5,7")
     run.add_argument("--size", default=None, help="ua_poisson sizes, e.g. 3969,16129")
     run.add_argument("--cycle", default=None,
-                     help="comma list of " + "|".join(CYCLE_TOKENS))
+                     help="comma list of " + "|".join(CYCLES))
     run.add_argument("--npcg", default=None, help="inner PCG steps, e.g. 1,2")
     run.add_argument("--truncate", default=None, help="full|sd|m (window size)")
     run.add_argument("--smoother", choices=["gs", "jacobi", "richardson"],

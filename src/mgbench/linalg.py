@@ -22,28 +22,6 @@ def as_csr(A):
     return A
 
 
-def validate_csr(A):
-    """Check the CSR structural invariants, raising ValueError on violation."""
-    if not sp.issparse(A) or A.format != "csr":
-        raise ValueError("expected a CSR matrix, got %r" % type(A))
-    n_rows, n_cols = A.shape
-    if len(A.indptr) != n_rows + 1 or A.indptr[0] != 0:
-        raise ValueError("row offsets must have length n_rows+1 and start at 0")
-    if np.any(np.diff(A.indptr) < 0):
-        raise ValueError("row offsets must be non-decreasing")
-    if A.indptr[-1] != len(A.indices) or len(A.indices) != len(A.data):
-        raise ValueError("row offsets end (%d) must equal nnz (%d)"
-                         % (A.indptr[-1], len(A.indices)))
-    if len(A.indices) and (A.indices.min() < 0 or A.indices.max() >= n_cols):
-        raise ValueError("column index out of range")
-    for i in range(n_rows):
-        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
-        if np.any(np.diff(cols) <= 0):
-            raise ValueError("columns in row %d not strictly increasing" % i)
-    if not np.all(np.isfinite(A.data)):
-        raise ValueError("matrix entries must be finite")
-
-
 def symmetry_error(A):
     """max_ij |A_ij - A_ji|, zero for an exactly symmetric matrix."""
     D = (A - A.T).tocoo()
@@ -76,14 +54,6 @@ def inner(x, y):
         raise ValueError("dimension mismatch: vectors have lengths %d and %d"
                          % (x.shape[0], y.shape[0]))
     return float(np.dot(x, y))
-
-
-def a_inner(A, x, y):
-    """A-inner product (A x, y); A must be symmetric."""
-    q = inner(spmv(A, x), y)
-    if y is x and q < -1e-12 * inner(x, x):
-        raise NonSPDError("(Ax, x) = %.3e < 0: operator is not SPD" % q)
-    return q
 
 
 def a_norm(A, x):
@@ -144,11 +114,6 @@ class DenseFactorization:
         u = sla.cho_solve(self._factor, f, check_finite=False)
         r = f - self._dense @ u
         return u + sla.cho_solve(self._factor, r, check_finite=False)
-
-
-def dense_solve(A, f):
-    """Solve A u = f exactly via a dense symmetric factorization."""
-    return DenseFactorization(A).solve(np.asarray(f, float))
 
 
 def power_method(A, tol=1e-8, maxiter=500):

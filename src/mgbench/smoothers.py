@@ -110,21 +110,6 @@ def bind(A, spec):
     return BoundSmoother(A, spec)
 
 
-def smooth(A, spec, f):
-    """Apply the smoother once: returns R f."""
-    return bind(A, spec).apply(f)
-
-
-def smooth_transpose(A, spec, f):
-    """Apply the adjoint smoother: returns R^t f."""
-    return bind(A, spec).apply_transpose(f)
-
-
-def composite_tilde(A, spec, v):
-    """Apply the symmetrized composite smoother to v."""
-    return bind(A, spec).composite(v)
-
-
 def measure_smoothing_constant(A, spec, samples=100, seed=20240501):
     """Estimate c2 = rho(A) * min_v (Rt_comp v, v)/(v, v) by sampling.
 

@@ -280,6 +280,25 @@ def test_stationary_solve_names_nonfinite_exit():
     assert inf.status == "nonfinite" and inf.iterations == 1
 
 
+def test_stationary_solve_names_breakdown_exit():
+    """A PCG breakdown inside the operator ends the solve as 'breakdown',
+    keeping the iterations made before it."""
+    A, f = assemble_poisson(3)
+    h = build_geometric("poisson", 3)
+    calls = []
+
+    def operator(r):
+        calls.append(1)
+        if len(calls) == 1:
+            return apply_v_cycle(h, 3, r)
+        return nonlinear_pcg(A, lambda g: np.zeros_like(g), r, P1)
+
+    report = stationary_solve(operator, A, f)
+    assert report.status == "breakdown"
+    assert report.iterations == 1 and len(report.residual_history) == 2
+    assert not report.converged and not report.diverged
+
+
 def test_stationary_solve_statuses():
     A, f = assemble_poisson(3)
     h = build_geometric("poisson", 3)

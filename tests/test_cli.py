@@ -3,9 +3,10 @@ import sys
 
 import pytest
 
-from mgbench import SolveReport
+import mgbench.amli
+from mgbench import PCGBreakdownError, SolveReport
 from mgbench.cli import (emit_table, main, parse_int_list, parse_truncation,
-                         size_to_level)
+                         run_experiment, size_to_level)
 
 
 def run_cli(args, capsys):
@@ -98,9 +99,30 @@ def test_table_names_failed_exits():
     reports = [SolveReport(iterations=3, status="converged", residual_history=[]),
                SolveReport(iterations=9, status="max_iter", residual_history=[]),
                SolveReport(iterations=1, status="nonfinite", residual_history=[]),
-               SolveReport(iterations=2, status="diverged", residual_history=[])]
-    out = emit_table([(4, reports)], ["a", "b", "c", "d"], "csv", 9)
-    assert out.splitlines()[1] == "4,3,>9,nonfinite,diverged"
+               SolveReport(iterations=2, status="diverged", residual_history=[]),
+               SolveReport(iterations=0, status="breakdown", residual_history=[])]
+    out = emit_table([(4, reports)], ["a", "b", "c", "d", "e"], "csv", 9)
+    assert out.splitlines()[1] == "4,3,>9,nonfinite,diverged,breakdown"
+
+
+def test_breakdown_cell_does_not_abort_table(capsys, monkeypatch):
+    def broken_pcg(A, precond, f, params):
+        raise PCGBreakdownError("PCG breakdown: zero-energy direction")
+
+    monkeypatch.setattr(mgbench.amli, "run_pcg", broken_pcg)
+    config = {"problem": "poisson", "k_range": [3, 4], "cycles": ["v", "amli"],
+              "npcg": [1], "truncation": "full", "smoother": "gs",
+              "weight": 1.0, "sweeps": 1, "tol": 1e-6, "max_iter": 50,
+              "seed": 0}
+    rows, cols = run_experiment(config)
+    assert cols == ["V", "Bhat_npcg1"]
+    assert [[r.status for r in row] for _, row in rows] == \
+        [["converged", "breakdown"]] * 2
+    code, out = run_cli(["run", "--problem", "poisson", "--levels", "3",
+                         "--cycle", "v,amli", "--npcg", "1"], capsys)
+    assert code == 1
+    k, v_cell, amli_cell = out.strip().splitlines()[1].split(",")
+    assert (k, amli_cell) == ("3", "breakdown") and v_cell.isdigit()
 
 
 def test_ua_rows_keyed_by_size(capsys):

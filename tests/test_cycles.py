@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mgbench import (a_norm, apply_backslash,
+from mgbench import (CycleParams, a_norm, apply_amli, apply_amli_ns,
+                     apply_amli_tilde, apply_amli_tilde_ns, apply_backslash,
                      apply_v_cycle, assemble_poisson, build_geometric,
                      stationary_solve)
 
@@ -102,5 +103,14 @@ def test_poisson_k5_v_cycle_iteration_count():
 def test_level_out_of_range(h3):
     with pytest.raises(ValueError, match="level"):
         apply_v_cycle(h3, 4, np.zeros(49))
-    with pytest.raises(ValueError, match="dimension"):
-        apply_backslash(h3, 3, np.zeros(10))
+    params = CycleParams(n_inner=2)
+    cycles = [apply_backslash, apply_v_cycle,
+              lambda h, k, f: apply_amli_ns(h, k, f, params),
+              lambda h, k, f: apply_amli(h, k, f, params),
+              lambda h, k, f: apply_amli_tilde(h, k, f, params),
+              lambda h, k, f: apply_amli_tilde_ns(h, k, f, params)]
+    # a zero vector must not slip through an early exit on ||f|| = 0
+    for fn in cycles:
+        for f in (np.zeros(10), np.ones(10)):
+            with pytest.raises(ValueError, match="dimension"):
+                fn(h3, 3, f)

@@ -5,9 +5,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
 
 from mgbench import (SmootherSpec, a_norm, as_csr, assemble_jump,
-                     assemble_poisson, bind, build_ua_amg, composite_tilde,
-                     measure_smoothing_constant, smooth, smooth_transpose,
-                     spectral_radius)
+                     assemble_poisson, bind, build_ua_amg,
+                     measure_smoothing_constant, spectral_radius)
 
 A22 = as_csr(sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 4.0]])))
 GS = SmootherSpec("gs")
@@ -16,43 +15,43 @@ GS = SmootherSpec("gs")
 def test_gs_on_diagonal_matrix_is_exact():
     D = as_csr(sp.diags([2.0, 4.0, 8.0]).tocsr())
     f = np.array([2.0, 4.0, 8.0])
-    assert np.allclose(smooth(D, GS, f), [1.0, 1.0, 1.0])
+    assert np.allclose(bind(D, GS).apply(f), [1.0, 1.0, 1.0])
 
 
 def test_jacobi_unit_weight_on_scaled_identity():
     A = as_csr(2.0 * sp.identity(2, format="csr"))
     spec = SmootherSpec("jacobi", weight=1.0)
-    assert np.allclose(smooth(A, spec, np.array([2.0, 2.0])), [1.0, 1.0])
+    assert np.allclose(bind(A, spec).apply(np.array([2.0, 2.0])), [1.0, 1.0])
 
 
 def test_forward_gs_hand_value():
     # (D+L) u = f: u0 = 4/4 = 1, u1 = (4 + 1)/4 = 1.25
-    out = smooth(A22, GS, np.array([4.0, 4.0]))
+    out = bind(A22, GS).apply(np.array([4.0, 4.0]))
     assert np.allclose(out, [1.0, 1.25])
 
 
 def test_backward_gs_hand_value():
-    out = smooth_transpose(A22, GS, np.array([4.0, 4.0]))
+    out = bind(A22, GS).apply_transpose(np.array([4.0, 4.0]))
     assert np.allclose(out, [1.25, 1.0])
 
 
 def test_jacobi_transpose_is_itself():
     A, _ = assemble_poisson(3)
-    spec = SmootherSpec("jacobi", weight=0.7)
+    R = bind(A, SmootherSpec("jacobi", weight=0.7))
     f = np.random.default_rng(0).standard_normal(A.shape[0])
-    assert np.array_equal(smooth(A, spec, f), smooth_transpose(A, spec, f))
+    assert np.array_equal(R.apply(f), R.apply_transpose(f))
 
 
 @pytest.mark.parametrize("kind,weight", [("gs", 1.0), ("jacobi", 0.7),
                                          ("richardson", 1.0)])
 def test_adjoint_pair_identity(kind, weight):
     A, _ = assemble_poisson(3)
-    spec = SmootherSpec(kind, weight=weight)
+    R = bind(A, SmootherSpec(kind, weight=weight))
     rng = np.random.default_rng(1)
     for _ in range(10):
         f, g = rng.standard_normal(A.shape[0]), rng.standard_normal(A.shape[0])
-        lhs = np.dot(smooth(A, spec, f), g)
-        rhs = np.dot(f, smooth_transpose(A, spec, g))
+        lhs = np.dot(R.apply(f), g)
+        rhs = np.dot(f, R.apply_transpose(g))
         assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
 
 
@@ -61,7 +60,7 @@ def test_composite_on_scaled_identity():
     A = as_csr(2.0 * sp.identity(3, format="csr"))
     spec = SmootherSpec("jacobi", weight=1.0)
     v = np.array([2.0, -4.0, 6.0])
-    assert np.allclose(composite_tilde(A, spec, v), v / 2.0)
+    assert np.allclose(bind(A, spec).composite(v), v / 2.0)
 
 
 @pytest.mark.parametrize("kind", ["gs", "jacobi"])
