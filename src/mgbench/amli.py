@@ -8,7 +8,8 @@ most recent m+1 (window m), or none (preconditioned steepest descent).
 Every cycle is one recursion, apply_cycle.  The linear \\- and V-cycles
 correct with the same cycle one level down; the AMLI cycles replace that
 coarse-grid solve by n_inner steps of this PCG, preconditioned by the
-coarser-level cycle.  Restriction is the prolongator transpose.
+coarser-level cycle.  Restriction is the prolongator transpose, which each
+level stores once (Level.R).
 """
 import math
 from dataclasses import dataclass, field
@@ -132,15 +133,14 @@ def apply_cycle(h, k, f, symmetric, params=None):
         return h.coarsest_solver.solve(f)
     u1 = lv.smoother.apply(f)
     coarser = h.level(k - 1)
-    P = coarser.P_to_finer
-    g = P.T @ (f - lv.A @ u1)
+    g = coarser.R @ (f - lv.A @ u1)
     if params is None:
         coarse = apply_cycle(h, k - 1, g, symmetric)
     else:
         coarse = nonlinear_pcg(
             coarser.A, lambda rr: apply_cycle(h, k - 1, rr, symmetric, params),
             g, params)
-    u2 = u1 + P @ coarse
+    u2 = u1 + coarser.P_to_finer @ coarse
     if not symmetric:
         return u2
     return u2 + lv.smoother.apply_transpose(f - lv.A @ u2)

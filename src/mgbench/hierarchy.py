@@ -2,10 +2,12 @@
 
 A Hierarchy stores levels coarsest-first; level(k) with k = 1..n_levels
 follows that order (1 is coarsest).  Prolongators sit on the coarse level
-they interpolate from (P_to_finer), restriction is always the transpose.
+they interpolate from (P_to_finer), restriction is always the transpose,
+formed once per level (Level.R).
 All coarse operators are Galerkin products of the finest matrix.
 """
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +30,12 @@ class Level:
     A: object
     P_to_finer: object = None   # absent on the finest level
     smoother: object = None
+
+    @cached_property
+    def R(self):
+        """Restriction P_to_finer^t, formed on first use and kept (None on the
+        finest level); `P.T @ x` would build the transpose on every call."""
+        return None if self.P_to_finer is None else self.P_to_finer.T
 
 
 @dataclass
@@ -157,15 +165,13 @@ def aggregate(A, theta=DEFAULT_THETA):
                          % int(np.argmax(d <= 0.0)))
     indptr, indices, data = A.indptr, A.indices, A.data
 
-    strong = []
+    # strong[i]: positions t in row i's stored entries of strong couplings
+    rows = np.repeat(np.arange(n), np.diff(indptr))
     t2 = theta * theta
-    for i in range(n):
-        s = []
-        for t in range(indptr[i], indptr[i + 1]):
-            j = indices[t]
-            if j != i and data[t] * data[t] >= t2 * d[i] * d[j]:
-                s.append(t)
-        strong.append(s)
+    mask = (indices != rows) & (data * data >= t2 * d[rows] * d[indices])
+    positions = np.flatnonzero(mask).tolist()
+    bounds = np.concatenate(([0], np.cumsum(mask)))[indptr].tolist()
+    strong = [positions[b:e] for b, e in zip(bounds[:-1], bounds[1:])]
 
     assignment = np.full(n, -1, dtype=np.int64)
     n_agg = 0

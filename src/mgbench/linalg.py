@@ -90,7 +90,9 @@ class DenseFactorization:
     """Cached symmetric (Cholesky) factorization of a small SPD matrix.
 
     solve() performs one step of iterative refinement so the residual stays
-    near machine precision even for badly conditioned coarse operators.
+    near machine precision even for badly conditioned coarse operators.  It
+    calls LAPACK potrs directly, as cho_solve would, without cho_solve's
+    per-call argument checks and routine lookup.
     """
 
     def __init__(self, A):
@@ -101,19 +103,26 @@ class DenseFactorization:
         self.dimension = n
         self._dense = A.toarray() if sp.issparse(A) else np.asarray(A, float)
         try:
-            self._factor = sla.cho_factor(self._dense, check_finite=False)
+            self._factor, self._lower = sla.cho_factor(self._dense, check_finite=False)
         except sla.LinAlgError as exc:
             raise NonSPDError("non-positive pivot in Cholesky: "
                               "matrix is not SPD (%s)" % exc) from exc
+        self._potrs, = sla.get_lapack_funcs(("potrs",), (self._factor,))
+
+    def _cho_solve(self, b):
+        x, info = self._potrs(self._factor, b, lower=self._lower)
+        if info != 0:
+            raise ValueError("illegal value in argument %d of potrs" % -info)
+        return x
 
     def solve(self, f):
         f = np.asarray(f, float)
         if f.shape[0] != self.dimension:
             raise ValueError("dimension mismatch: factorization is %d, "
                              "vector has length %d" % (self.dimension, f.shape[0]))
-        u = sla.cho_solve(self._factor, f, check_finite=False)
+        u = self._cho_solve(f)
         r = f - self._dense @ u
-        return u + sla.cho_solve(self._factor, r, check_finite=False)
+        return u + self._cho_solve(r)
 
 
 def power_method(A, tol=1e-8, maxiter=500):

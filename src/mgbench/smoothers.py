@@ -12,14 +12,32 @@ is one unit-triangular solve and a diagonal scaling.  The backward sweep
 solves with M^t = D^-1 (D + L^t), which is D^-1 (D+U) only for symmetric A:
 apply_transpose relies on A being symmetric, as every matrix the package
 builds is.
+
+At or below DENSE_GS_LIMIT unknowns M is kept as a dense Fortran-order
+array and each sweep is one BLAS dtrsv call (the backward sweep with
+trans=1).  On these small levels, which the AMLI cycles visit most, the
+fixed cost of spsolve_triangular (about 80-130 us per call, whatever the
+size) dwarfs the arithmetic: a 9-unknown sweep takes 2-3 us dense, a
+225-unknown one 10-15 us.  dtrsv's cost grows with the n^2 dense entries,
+so above the limit (see DENSE_GS_LIMIT for the measured crossover) the
+sparse solve is kept.
 """
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtrsv
 from scipy.sparse.linalg import spsolve_triangular
 
 from .linalg import power_method
+
+# Largest level whose Gauss-Seidel triangle is stored dense.  Measured on a
+# 2-core Xeon VM (OpenBLAS, one thread), a dense forward plus backward sweep
+# costs as much as the sparse pair at 720-840 unknowns (Poisson and jump
+# matrices) and half as much at 640.  The limit stays below the crossover:
+# near it the saving vanishes while the dense triangle's 8 n^2 bytes (3.3 MB
+# at 640) keep growing.
+DENSE_GS_LIMIT = 640
 
 KINDS = ("gs", "jacobi", "richardson")
 _ALIASES = {"forward_gauss_seidel": "gs", "gauss_seidel": "gs"}
@@ -58,8 +76,12 @@ class BoundSmoother:
             M.data *= np.repeat(self._inv_d, np.diff(M.indptr))   # column scaling
             M.eliminate_zeros()
             M.setdiag(1.0)
-            self._unit_lower = M
-            self._unit_upper = M.T    # shares M's arrays; D+U = D M^t for symmetric A
+            self._dense = A.shape[0] <= DENSE_GS_LIMIT
+            if self._dense:
+                self._unit_lower = M.toarray(order="F")
+            else:
+                self._unit_lower = M
+                self._unit_upper = M.T    # shares M's arrays; D+U = D M^t for symmetric A
         elif spec.kind == "jacobi":
             if not 0.0 < spec.weight < 2.0:
                 raise ValueError("Jacobi weight must lie in (0, 2), got %g"
@@ -73,18 +95,22 @@ class BoundSmoother:
             self._scale = spec.weight / rho
 
     def _single(self, f, transpose):
-        kind = self.spec.kind
-        if kind == "gs":
-            # overwrite_A lets the solver set the unit diagonal in place, which
-            # M already has, instead of copying M on every call
+        if self.spec.kind != "gs":
+            return self._scale * f
+        if self._dense:
             if transpose:
-                return spsolve_triangular(self._unit_upper, self._inv_d * f,
-                                          lower=False, unit_diagonal=True,
-                                          overwrite_A=True, overwrite_b=True)
-            return self._inv_d * spsolve_triangular(
-                self._unit_lower, f, lower=True, unit_diagonal=True,
-                overwrite_A=True)
-        return self._scale * f
+                return dtrsv(self._unit_lower, self._inv_d * f, lower=1, trans=1,
+                             diag=1, overwrite_x=1)
+            return self._inv_d * dtrsv(self._unit_lower, f, lower=1, diag=1)
+        # overwrite_A lets the solver set the unit diagonal in place, which
+        # M already has, instead of copying M on every call
+        if transpose:
+            return spsolve_triangular(self._unit_upper, self._inv_d * f,
+                                      lower=False, unit_diagonal=True,
+                                      overwrite_A=True, overwrite_b=True)
+        return self._inv_d * spsolve_triangular(
+            self._unit_lower, f, lower=True, unit_diagonal=True,
+            overwrite_A=True)
 
     def _sweep(self, f, transpose):
         u = self._single(f, transpose)

@@ -49,11 +49,12 @@ def _coarse_projector(h, k):
     the coarse operator; only valid while that operator fits the dense limit.
     """
     lv = h.level(k)
-    P = h.level(k - 1).P_to_finer
-    coarse = DenseFactorization(h.level(k - 1).A)
+    coarser = h.level(k - 1)
+    P, R = coarser.P_to_finer, coarser.R
+    coarse = DenseFactorization(coarser.A)
 
     def project(v):
-        return P @ coarse.solve(P.T @ (lv.A @ v))
+        return P @ coarse.solve(R @ (lv.A @ v))
 
     return project
 
@@ -161,7 +162,7 @@ def check_error_representation(h, k, params=None, samples=20, seed=DEFAULT_SEED)
     lv = h.level(k)
     A = lv.A
     n = A.shape[0]
-    P = h.level(k - 1).P_to_finer
+    P, restrict = h.level(k - 1).P_to_finer, h.level(k - 1).R
     R = lv.smoother.apply
     Rt = lv.smoother.apply_transpose
 
@@ -175,13 +176,13 @@ def check_error_representation(h, k, params=None, samples=20, seed=DEFAULT_SEED)
         Ae = A @ e
         vhat = e - R(Ae)
         lhs = e - apply_amli_ns(h, k, Ae, params)
-        rhs = vhat - P @ apply_amli_tilde_ns(h, k - 1, P.T @ (A @ vhat), params)
+        rhs = vhat - P @ apply_amli_tilde_ns(h, k - 1, restrict @ (A @ vhat), params)
         worst["error_form_ns"] = max(worst["error_form_ns"],
                                      float(np.linalg.norm(lhs - rhs)))
         scale["error_form_ns"] = max(scale["error_form_ns"],
                                      float(np.linalg.norm(rhs)))
         lhs = e - apply_amli(h, k, Ae, params)
-        w = vhat - P @ apply_amli_tilde(h, k - 1, P.T @ (A @ vhat), params)
+        w = vhat - P @ apply_amli_tilde(h, k - 1, restrict @ (A @ vhat), params)
         rhs = w - Rt(A @ w)
         worst["error_form_sym"] = max(worst["error_form_sym"],
                                       float(np.linalg.norm(lhs - rhs)))
@@ -192,7 +193,7 @@ def check_error_representation(h, k, params=None, samples=20, seed=DEFAULT_SEED)
     for _ in range(samples):
         v = rng.standard_normal(n)
         lhs = apply_amli_ns(h, k, v, params)
-        rhs = R(v) + P @ apply_amli_tilde_ns(h, k - 1, P.T @ (v - A @ R(v)), params)
+        rhs = R(v) + P @ apply_amli_tilde_ns(h, k - 1, restrict @ (v - A @ R(v)), params)
         worst["operator_form_ns"] = max(worst["operator_form_ns"],
                                         float(np.linalg.norm(lhs - rhs)))
         scale["operator_form_ns"] = max(scale["operator_form_ns"],
@@ -200,7 +201,7 @@ def check_error_representation(h, k, params=None, samples=20, seed=DEFAULT_SEED)
         lhs = apply_amli(h, k, v, params)
         rv = R(v)
         rbar = rv + Rt(v - A @ rv)
-        w = P @ apply_amli_tilde(h, k - 1, P.T @ (v - A @ rv), params)
+        w = P @ apply_amli_tilde(h, k - 1, restrict @ (v - A @ rv), params)
         rhs = rbar + w - Rt(A @ w)
         worst["operator_form_sym"] = max(worst["operator_form_sym"],
                                          float(np.linalg.norm(lhs - rhs)))

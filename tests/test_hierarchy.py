@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from mgbench import (CoarseningStagnation, DENSE_LIMIT, aggregate, as_csr,
-                     assemble_poisson, a_norm, build_geometric, build_ua_amg,
-                     geometric_prolongator, piecewise_constant_prolongator,
-                     rap)
+                     assemble_jump, assemble_poisson, a_norm, build_geometric,
+                     build_ua_amg, geometric_prolongator,
+                     piecewise_constant_prolongator, rap)
 
 # frozen first-run snapshots; the greedy pass is deterministic by design
 POISSON_K3_THETA008_N_AGG = 10
@@ -170,6 +170,71 @@ def test_aggregate_rejects_bad_input():
     A, _ = assemble_poisson(2)
     with pytest.raises(ValueError, match="theta"):
         aggregate(A, theta=1.5)
+
+
+def loop_aggregate(A, theta=0.08):
+    """Entry-by-entry reference for aggregate: the strength graph built row
+    by row, then the same three greedy phases."""
+    A = as_csr(A)
+    n = A.shape[0]
+    d = A.diagonal()
+    indptr, indices, data = A.indptr, A.indices, A.data
+    strong = []
+    t2 = theta * theta
+    for i in range(n):
+        s = []
+        for t in range(indptr[i], indptr[i + 1]):
+            j = indices[t]
+            if j != i and data[t] * data[t] >= t2 * d[i] * d[j]:
+                s.append(t)
+        strong.append(s)
+
+    assignment = np.full(n, -1, dtype=np.int64)
+    n_agg = 0
+    for i in range(n):
+        if assignment[i] != -1:
+            continue
+        if all(assignment[indices[t]] == -1 for t in strong[i]):
+            assignment[i] = n_agg
+            for t in strong[i]:
+                assignment[indices[t]] = n_agg
+            n_agg += 1
+    for i in range(n):
+        if assignment[i] != -1:
+            continue
+        best, best_val = -1, -1.0
+        for t in strong[i]:
+            a = assignment[indices[t]]
+            if a != -1 and abs(data[t]) > best_val:
+                best_val = abs(data[t])
+                best = a
+        if best != -1:
+            assignment[i] = best
+    for i in range(n):
+        if assignment[i] == -1:
+            assignment[i] = n_agg
+            n_agg += 1
+    return assignment, n_agg
+
+
+def assert_aggregate_matches_loop(A):
+    agg = aggregate(A)
+    assignment, n_agg = loop_aggregate(A)
+    assert agg.n_aggregates == n_agg
+    assert agg.assignment.dtype == assignment.dtype
+    assert np.array_equal(agg.assignment, assignment)
+
+
+@pytest.mark.parametrize("assemble,k", [(assemble_poisson, k) for k in range(2, 9)]
+                         + [(assemble_jump, k) for k in range(3, 7)])
+def test_aggregate_matches_loop_reference(assemble, k):
+    assert_aggregate_matches_loop(assemble(k)[0])
+
+
+def test_aggregate_matches_loop_reference_on_ua_levels():
+    h = build_ua_amg(assemble_poisson(8)[0])
+    for lv in h.levels:
+        assert_aggregate_matches_loop(lv.A)
 
 
 def test_piecewise_constant_prolongator_properties():

@@ -6,7 +6,7 @@ from scipy.linalg import solve_triangular
 
 from mgbench import (SmootherSpec, a_norm, as_csr, assemble_jump,
                      assemble_poisson, bind, build_ua_amg,
-                     measure_smoothing_constant, spectral_radius)
+                     measure_smoothing_constant, smoothers, spectral_radius)
 
 A22 = as_csr(sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 4.0]])))
 GS = SmootherSpec("gs")
@@ -177,15 +177,43 @@ def check_gs_variable_diagonal(A, rng):
                                    (True, sm.apply_transpose(f))):
                 ref = dense_gs(A, f, sweeps, transpose)
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-            lhs = np.dot(sm.apply(f), g)
-            rhs = np.dot(f, sm.apply_transpose(g))
-            assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
+            # (R f, g) = (f, R^t g); the two dot products can cancel, so
+            # their rounding is bounded by the sums of |terms|, not by |lhs|
+            a, b = sm.apply(f), sm.apply_transpose(g)
+            lhs, rhs = np.dot(a, g), np.dot(f, b)
+            scale = np.abs(a * g).sum() + np.abs(f * b).sum()
+            assert abs(lhs - rhs) <= 1e-13 * scale
 
 
 def test_gs_variable_diagonal_jump_matrix():
-    A, _ = assemble_jump(4)
+    A, _ = assemble_jump(4)    # 225 unknowns: the dense path
     assert np.ptp(A.diagonal()) > 0.0
     check_gs_variable_diagonal(A, np.random.default_rng(6))
+
+
+def test_gs_variable_diagonal_jump_matrix_sparse_path():
+    A, _ = assemble_jump(5)    # 961 unknowns: above DENSE_GS_LIMIT
+    assert A.shape[0] > smoothers.DENSE_GS_LIMIT
+    check_gs_variable_diagonal(A, np.random.default_rng(6))
+
+
+def test_gs_dense_and_sparse_paths_agree_at_the_limit(monkeypatch):
+    n = smoothers.DENSE_GS_LIMIT
+    A = as_csr(assemble_jump(5)[0][:n, :n])    # principal submatrix: SPD
+    assert np.ptp(A.diagonal()) > 0.0
+    rng = np.random.default_rng(9)
+    for sweeps in (1, 2):
+        spec = SmootherSpec("gs", sweeps=sweeps)
+        dense = bind(A, spec)
+        monkeypatch.setattr(smoothers, "DENSE_GS_LIMIT", n - 1)
+        sparse = bind(A, spec)
+        monkeypatch.undo()
+        assert dense._dense and not sparse._dense
+        for _ in range(3):
+            f = rng.standard_normal(n)
+            for got, ref in ((dense.apply(f), sparse.apply(f)),
+                             (dense.apply_transpose(f), sparse.apply_transpose(f))):
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_gs_variable_diagonal_ua_coarse_level():

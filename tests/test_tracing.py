@@ -1,0 +1,53 @@
+"""The benchmark's outside-in tracing must see every level visit and change
+no result.
+
+perfbench/tracing.py wraps a built hierarchy in proxies on each level's
+matrix, prolongator, smoother and coarse solver.  The cycle engine must
+therefore reach each level only through those attributes (restriction goes
+through Level.R, which is derived from P_to_finer); otherwise a traced run
+would miss work or differ from the untraced one.
+"""
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mgbench
+from mgbench import CycleParams, apply_amli, apply_amli_tilde, apply_v_cycle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
+import tracing  # noqa: E402
+
+K = 4
+
+
+@pytest.fixture(scope="module")
+def hierarchy():
+    return mgbench.build_geometric("poisson", K)
+
+
+@pytest.mark.parametrize("cycle,apply,n", [
+    ("v", lambda h, f, p: apply_v_cycle(h, K, f), None),
+    ("amli", lambda h, f, p: apply_amli(h, K, f, p), 2),
+    ("amli-tilde", lambda h, f, p: apply_amli_tilde(h, K, f, p), 2),
+])
+def test_traced_hierarchy_is_bit_identical_and_sees_every_visit(hierarchy, cycle,
+                                                                apply, n):
+    params = None if n is None else CycleParams(n_inner=n)
+    f = np.random.default_rng(10).standard_normal(hierarchy.finest.A.shape[0])
+    plain = apply(hierarchy, f, params)
+
+    tracer = tracing.Tracer()
+    pcg = (mgbench.amli.run_pcg, tracing.pcg_wrapper(tracer, mgbench.amli.run_pcg))
+    with tracing.patched(tracer, extra=[pcg]):
+        traced = apply(tracing.traced_hierarchy(hierarchy, tracer), f, params)
+
+    assert np.array_equal(traced, plain)
+    seen = {k: tracer.counts.get("cycles.visits.L%d" % k, 0)
+            for k in range(1, K + 1)}
+    assert seen == checks.visits_per_apply(cycle, n, K)
+    # every restriction and prolongation went through the proxies
+    transfers = sum(tracer.counts.get("transfer.L%d" % k, 0) for k in range(1, K))
+    assert transfers == 2 * sum(seen[k] for k in range(2, K + 1))
