@@ -34,6 +34,10 @@ class CycleParams:
     truncation is 'full', 'sd' (steepest descent, no orthogonalization),
     or a non-negative int m (orthogonalize against the m+1 most recent
     directions).
+
+    kind is validated but no cycle reads it: the cycle function called
+    (apply_amli or apply_amli_ns, and their tilde forms) picks the symmetric
+    or nonsymmetric form.  It stays because acceptance criterion 7 passes it.
     """
     n_inner: int = 1
     truncation: object = "full"
@@ -190,10 +194,6 @@ def required_n(delta_bar):
     return math.floor(1.0 / (1.0 - delta_bar)) + 1
 
 
-def _monotone(history):
-    return all(b <= a * (1.0 + 1e-14) for a, b in zip(history, history[1:]))
-
-
 @dataclass
 class SolveReport:
     """Outcome of stationary_solve; status is 'converged', 'max_iter',
@@ -202,9 +202,6 @@ class SolveReport:
     status: str
     residual_history: list
     energy_error_history: list = None
-    measured_final_contraction: float = float("nan")
-    residual_monotone: bool = True
-    energy_monotone: bool = None
 
     @property
     def converged(self):
@@ -277,16 +274,9 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
         if energy_history is not None:
             energy_history.append(energy_error(u))
 
-    history = residual_history if tol_kind == "rel_residual" else energy_history
-    contraction = float("nan")
-    if len(history) >= 2 and history[-2] > 0.0:
-        contraction = history[-1] / history[-2]
     return SolveReport(
         iterations=iterations,
         status=exit_status or status(),
         residual_history=residual_history,
         energy_error_history=energy_history,
-        measured_final_contraction=contraction,
-        residual_monotone=_monotone(residual_history),
-        energy_monotone=_monotone(energy_history) if energy_history else None,
     )

@@ -6,7 +6,8 @@ Subcommands:
   verify     run the numeric theory checks and print one CSV row per check
   hierarchy  build a hierarchy and print its level/size/complexity report
 
-A config file of `key = value` lines (# comments) can pre-set any flag;
+A config file of `key = value` lines (# comments) can pre-set any flag of
+the subcommand; its values are converted and checked like the flag's, and
 explicit command-line flags override it.
 """
 import argparse
@@ -19,13 +20,13 @@ from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
     stationary_solve
 from .hierarchy import DEFAULT_MAX_LEVELS, DEFAULT_MIN_COARSE, DEFAULT_THETA, \
     build_geometric, build_ua_amg
+from .linalg import DENSE_LIMIT
 from .problems import assemble_jump, assemble_poisson
 from .smoothers import SmootherSpec
-from .verify import CheckReport, check_approximation_constant, \
-    check_comparison_suite, check_error_representation, \
-    check_smoothed_projection_bound, check_two_grid_factor, rng_for
-
-DEFAULT_SEED = 20240501
+from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, CheckReport, \
+    check_approximation_constant, check_comparison_suite, \
+    check_error_representation, check_smoothed_projection_bound, \
+    check_two_grid_factor, rng_for
 
 # token -> (column label, cycle function, takes inner PCG steps)
 CYCLES = {
@@ -93,6 +94,18 @@ def _columns(cycles, npcg, truncation):
     return cols
 
 
+def build_problem(problem, k, smoother=None, theta=DEFAULT_THETA,
+                  min_coarse=DEFAULT_MIN_COARSE, max_levels=DEFAULT_MAX_LEVELS):
+    """System matrix A, right-hand side f and hierarchy of one problem family
+    at mesh level k; theta, min_coarse and max_levels shape only the
+    ua_poisson (UA-AMG) hierarchy."""
+    A, f = assemble_jump(k) if problem == "jump" else assemble_poisson(k)
+    if problem == "ua_poisson":
+        return A, f, build_ua_amg(A, theta=theta, min_coarse=min_coarse,
+                                  max_levels=max_levels, smoother=smoother)
+    return A, f, build_geometric(problem, k, smoother=smoother)
+
+
 def run_experiment(config):
     """Execute the configured table of solves; returns (row_labels, col_labels,
     grid of SolveReport)."""
@@ -103,6 +116,8 @@ def run_experiment(config):
     tol = config["tol"]
     max_iter = config["max_iter"]
     seed = config["seed"]
+    coarsening = {key: config[key] for key in ("theta", "min_coarse", "max_levels")
+                  if key in config}
 
     if problem == "ua_poisson":
         row_keys = [(size_to_level(s), s) for s in config["sizes"]]
@@ -111,27 +126,14 @@ def run_experiment(config):
 
     rows = []
     for k, label in row_keys:
-        if problem == "poisson":
-            A, f = assemble_poisson(k)
-            h = build_geometric("poisson", k, smoother=smoother)
-            u0, u_exact, tol_kind = None, None, "rel_residual"
-        elif problem == "jump":
-            A, f = assemble_jump(k)
-            h = build_geometric("jump", k, smoother=smoother)
+        A, f, h = build_problem(problem, k, smoother, **coarsening)
+        u0, u_exact, tol_kind = None, None, "rel_residual"
+        if problem == "jump":
             # random start with u* = 0; the energy of the start sets the
             # decades the solver must traverse before |u|_A <= tol
             u0 = rng_for(seed, "jump_u0_k%d" % k).standard_normal(A.shape[0])
             u_exact = np.zeros(A.shape[0])
             tol_kind = "energy_error"
-        elif problem == "ua_poisson":
-            A, f = assemble_poisson(k)
-            h = build_ua_amg(A, theta=config["theta"],
-                             min_coarse=config["min_coarse"],
-                             max_levels=config["max_levels"],
-                             smoother=smoother)
-            u0, u_exact, tol_kind = None, None, "rel_residual"
-        else:
-            raise ValueError("unknown problem %r" % problem)
 
         row = []
         for _name, fn, extra in cols:
@@ -178,9 +180,24 @@ def emit_table(rows, col_labels, fmt, max_iter, row_header="k"):
     raise ValueError("unknown format %r" % fmt)
 
 
-def _add_common(p):
+def _add_common(p, handler):
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # main re-parses with the file's values as defaults of this parser, and
+    # commands report usage errors through it
+    p.set_defaults(handler=handler, parser=p)
+
+
+def _add_problem(p):
+    p.add_argument("--problem", choices=["poisson", "jump", "ua_poisson"],
+                   default="poisson")
+    p.add_argument("--levels", type=parse_int_list, default=None,
+                   help="e.g. 5..9 or 5,7")
+    p.add_argument("--size", type=parse_int_list, default=None,
+                   help="ua_poisson sizes, e.g. 3969,16129")
+    p.add_argument("--theta", type=float, default=DEFAULT_THETA)
+    p.add_argument("--min-coarse", type=int, default=DEFAULT_MIN_COARSE)
+    p.add_argument("--max-levels", type=int, default=DEFAULT_MAX_LEVELS)
 
 
 def build_parser():
@@ -188,99 +205,75 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="solve experiment tables")
-    _add_common(run)
-    run.add_argument("--problem", choices=["poisson", "jump", "ua_poisson"],
-                     default=None)
-    run.add_argument("--levels", default=None, help="e.g. 5..9 or 5,7")
-    run.add_argument("--size", default=None, help="ua_poisson sizes, e.g. 3969,16129")
-    run.add_argument("--cycle", default=None,
+    _add_common(run, cmd_run)
+    _add_problem(run)
+    run.add_argument("--cycle", default="v,amli,amli-tilde",
                      help="comma list of " + "|".join(CYCLES))
-    run.add_argument("--npcg", default=None, help="inner PCG steps, e.g. 1,2")
-    run.add_argument("--truncate", default=None, help="full|sd|m (window size)")
+    run.add_argument("--npcg", type=parse_int_list, default="1,2",
+                     help="inner PCG steps, e.g. 1,2")
+    run.add_argument("--truncate", type=parse_truncation, default="full",
+                     help="full|sd|m (window size)")
     run.add_argument("--smoother", choices=["gs", "jacobi", "richardson"],
-                     default=None)
-    run.add_argument("--weight", type=float, default=None)
-    run.add_argument("--sweeps", type=int, default=None)
-    run.add_argument("--theta", type=float, default=None)
-    run.add_argument("--min-coarse", type=int, default=None)
-    run.add_argument("--max-levels", type=int, default=None)
-    run.add_argument("--tol", type=float, default=None)
-    run.add_argument("--max-iter", type=int, default=None)
-    run.add_argument("--format", choices=["csv", "markdown"], default=None)
+                     default="gs")
+    run.add_argument("--weight", type=float, default=1.0)
+    run.add_argument("--sweeps", type=int, default=1)
+    run.add_argument("--tol", type=float, default=1e-6)
+    run.add_argument("--max-iter", type=int, default=2000)
+    run.add_argument("--format", choices=["csv", "markdown"], default="csv")
 
     ver = sub.add_parser("verify", help="run theory checks, CSV per check")
-    _add_common(ver)
+    _add_common(ver, cmd_verify)
     ver.add_argument("--suite", choices=["all"], default="all")
-    ver.add_argument("--levels", default=None, help="e.g. 2..5")
-    ver.add_argument("--samples", type=int, default=None)
+    ver.add_argument("--levels", type=parse_int_list, default="2..5",
+                     help="e.g. 2..5; at most 7 (dense coarse projector)")
+    ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
     hi = sub.add_parser("hierarchy", help="print a hierarchy report")
-    _add_common(hi)
-    hi.add_argument("--problem", choices=["poisson", "jump", "ua_poisson"],
-                    default=None)
-    hi.add_argument("--levels", default=None)
-    hi.add_argument("--size", default=None)
-    hi.add_argument("--theta", type=float, default=None)
-    hi.add_argument("--min-coarse", type=int, default=None)
-    hi.add_argument("--max-levels", type=int, default=None)
+    _add_common(hi, cmd_hierarchy)
+    _add_problem(hi)
     hi.add_argument("--report", action="store_true")
     return ap
 
 
-def _setting(args, file_cfg, name, default, convert=None):
-    cli = getattr(args, name, None)
-    if cli is not None:
-        return cli
-    if name in file_cfg:
-        raw = file_cfg[name]
-        return convert(raw) if convert else raw
-    return default
+def row_levels(args, default, ua_default):
+    """Mesh levels of the rows: for ua_poisson --size wins, else --levels,
+    else the problem's default."""
+    if args.problem == "ua_poisson":
+        if args.size is not None:
+            return [size_to_level(s) for s in args.size]
+        default = ua_default
+    return args.levels if args.levels is not None else default
 
 
-def cmd_run(args, file_cfg):
-    cycles = _setting(args, file_cfg, "cycle", "v,amli,amli-tilde")
-    npcg = _setting(args, file_cfg, "npcg", "1,2")
-    config = {
-        "problem": _setting(args, file_cfg, "problem", "poisson"),
-        "cycles": [c.strip() for c in str(cycles).split(",") if c.strip()],
-        "npcg": parse_int_list(npcg),
-        "truncation": parse_truncation(_setting(args, file_cfg, "truncate", "full")),
-        "smoother": _setting(args, file_cfg, "smoother", "gs"),
-        "weight": float(_setting(args, file_cfg, "weight", 1.0)),
-        "sweeps": int(_setting(args, file_cfg, "sweeps", 1)),
-        "theta": float(_setting(args, file_cfg, "theta", DEFAULT_THETA)),
-        "min_coarse": int(_setting(args, file_cfg, "min_coarse", DEFAULT_MIN_COARSE)),
-        "max_levels": int(_setting(args, file_cfg, "max_levels", DEFAULT_MAX_LEVELS)),
-        "tol": float(_setting(args, file_cfg, "tol", 1e-6)),
-        "max_iter": int(_setting(args, file_cfg, "max_iter", 2000)),
-        "seed": int(_setting(args, file_cfg, "seed", DEFAULT_SEED)),
-    }
-    fmt = _setting(args, file_cfg, "format", "csv")
-    levels = _setting(args, file_cfg, "levels", None)
-    sizes = _setting(args, file_cfg, "size", None)
-    if config["problem"] == "ua_poisson":
-        if sizes is None and levels is not None:
-            config["sizes"] = [(2 ** k - 1) ** 2 for k in parse_int_list(levels)]
-        else:
-            config["sizes"] = parse_int_list(sizes if sizes is not None
-                                             else "3969,16129,65025")
+def cmd_run(args):
+    # ua_poisson default: sizes 3969, 16129, 65025
+    levels = row_levels(args, [5, 6, 7, 8, 9], [6, 7, 8])
+    if not levels:
+        args.parser.error("empty level/size range")
+    config = dict(vars(args), truncation=args.truncate,
+                  cycles=[c.strip() for c in args.cycle.split(",") if c.strip()])
+    if args.problem == "ua_poisson":
+        config["sizes"] = [(2 ** k - 1) ** 2 for k in levels]
         row_header = "size"
     else:
-        config["k_range"] = parse_int_list(levels if levels is not None else "5..9")
+        config["k_range"] = levels
         row_header = "k"
-    if not config["k_range" if config["problem"] != "ua_poisson" else "sizes"]:
-        raise ValueError("empty level/size range")
 
     rows, col_labels = run_experiment(config)
-    print(emit_table(rows, col_labels, fmt, config["max_iter"], row_header))
+    print(emit_table(rows, col_labels, args.format, args.max_iter, row_header))
     all_ok = all(rep.converged for _, row in rows for rep in row)
     return 0 if all_ok else 1
 
 
-def cmd_verify(args, file_cfg):
-    levels = parse_int_list(_setting(args, file_cfg, "levels", "2..5"))
-    samples = int(_setting(args, file_cfg, "samples", 100))
-    seed = int(_setting(args, file_cfg, "seed", DEFAULT_SEED))
+def cmd_verify(args):
+    for k in args.levels:
+        # the coarse projector at level k factors the level-(k-1) operator densely
+        n_coarse = (2 ** (k - 1) - 1) ** 2
+        if n_coarse > DENSE_LIMIT:
+            args.parser.error("level %d needs a dense coarse operator of %d "
+                              "unknowns, above the dense limit %d"
+                              % (k, n_coarse, DENSE_LIMIT))
+    levels, samples, seed = args.levels, args.samples, args.seed
     k_max = max(max(levels), 2)
     h = build_geometric("poisson", k_max)
 
@@ -311,36 +304,23 @@ def cmd_verify(args, file_cfg):
     return 0 if all(r.passed for r in reports) else 1
 
 
-def cmd_hierarchy(args, file_cfg):
-    problem = _setting(args, file_cfg, "problem", "poisson")
-    sizes = _setting(args, file_cfg, "size", None)
-    levels = _setting(args, file_cfg, "levels", None)
-    if problem == "ua_poisson":
-        if sizes is not None:
-            k = size_to_level(parse_int_list(sizes)[0])
-        else:
-            k = parse_int_list(levels)[0] if levels is not None else 6
-        A, _ = assemble_poisson(k)
-        h = build_ua_amg(
-            A,
-            theta=float(_setting(args, file_cfg, "theta", DEFAULT_THETA)),
-            min_coarse=int(_setting(args, file_cfg, "min_coarse", DEFAULT_MIN_COARSE)),
-            max_levels=int(_setting(args, file_cfg, "max_levels", DEFAULT_MAX_LEVELS)))
-    else:
-        k = parse_int_list(levels)[0] if levels is not None else 5
-        h = build_geometric(problem, k)
+def cmd_hierarchy(args):
+    k = row_levels(args, [5], [6])[0]
+    _, _, h = build_problem(args.problem, k, None, args.theta,
+                            args.min_coarse, args.max_levels)
     print(h.report())
     return 0
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    file_cfg = load_config(args.config) if args.config else {}
-    if args.command == "run":
-        return cmd_run(args, file_cfg)
-    if args.command == "verify":
-        return cmd_verify(args, file_cfg)
-    return cmd_hierarchy(args, file_cfg)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # argparse converts string defaults with the flag's own type, and
+        # flags given on the command line still win
+        args.parser.set_defaults(**load_config(args.config))
+        args = parser.parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,10 @@ import sys
 import pytest
 
 import mgbench.amli
-from mgbench import PCGBreakdownError, SolveReport
-from mgbench.cli import (emit_table, main, parse_int_list, parse_truncation,
-                         run_experiment, size_to_level)
+import mgbench.cli
+from mgbench import DENSE_LIMIT, PCGBreakdownError, SolveReport
+from mgbench.cli import (build_parser, emit_table, main, parse_int_list,
+                         parse_truncation, run_experiment, size_to_level)
 
 
 def run_cli(args, capsys):
@@ -79,6 +80,99 @@ def test_config_file_and_flag_override(tmp_path, capsys):
                              "--levels", "2..2"], capsys)
     assert len(overridden.strip().splitlines()) == 2
     assert from_file.splitlines()[1] == overridden.splitlines()[1]
+
+
+def test_verify_config_file_matches_flags(tmp_path, capsys):
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("levels = 2..3\nsamples = 10\nseed = 11\n")
+    _, from_flags = run_cli(["verify", "--levels", "2..3", "--samples", "10",
+                             "--seed", "7"], capsys)
+    _, overridden = run_cli(["verify", "--config", str(cfg), "--seed", "7"],
+                            capsys)
+    _, from_file = run_cli(["verify", "--config", str(cfg)], capsys)
+    assert overridden == from_flags
+    assert from_file != from_flags
+
+
+def test_hierarchy_config_file_matches_flags(tmp_path, capsys):
+    cfg = tmp_path / "hierarchy.cfg"
+    cfg.write_text("problem = ua_poisson\nsize = 961\ntheta = 0.1\n"
+                   "min-coarse = 20\nmax-levels = 3\n")
+    flags = ["hierarchy", "--problem", "ua_poisson", "--size", "961",
+             "--theta", "0.1", "--min-coarse", "20", "--max-levels"]
+    _, from_file = run_cli(["hierarchy", "--config", str(cfg)], capsys)
+    _, overridden = run_cli(["hierarchy", "--config", str(cfg),
+                             "--max-levels", "20"], capsys)
+    assert from_file == run_cli(flags + ["3"], capsys)[1]
+    assert overridden == run_cli(flags + ["20"], capsys)[1]
+    assert overridden != from_file
+
+
+def test_parsed_defaults(monkeypatch, capsys):
+    configs = []
+    monkeypatch.setattr(mgbench.cli, "run_experiment",
+                        lambda config: configs.append(config) or ([], []))
+    assert main(["run"]) == 0
+    assert main(["run", "--problem", "ua_poisson"]) == 0
+    expected = {"problem": "poisson", "k_range": [5, 6, 7, 8, 9],
+                "cycles": ["v", "amli", "amli-tilde"], "npcg": [1, 2],
+                "truncation": "full", "smoother": "gs", "weight": 1.0,
+                "sweeps": 1, "theta": 0.08, "min_coarse": 50,
+                "max_levels": 20, "tol": 1e-6, "max_iter": 2000,
+                "format": "csv", "seed": 20240501}
+    assert {key: configs[0][key] for key in expected} == expected
+    assert configs[1]["sizes"] == [3969, 16129, 65025]
+
+    args = build_parser().parse_args(["verify"])
+    assert (args.levels, args.samples, args.seed) == ([2, 3, 4, 5], 100,
+                                                      20240501)
+
+    class Report:
+        def report(self):
+            return ""
+
+    built = []
+    monkeypatch.setattr(mgbench.cli, "build_problem",
+                        lambda problem, k, *rest: built.append((problem, k))
+                        or (None, None, Report()))
+    main(["hierarchy"])
+    main(["hierarchy", "--problem", "ua_poisson"])
+    assert built == [("poisson", 5), ("ua_poisson", 6)]
+
+
+def test_malformed_values_are_usage_errors(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--levels", "abc"])
+    assert exc.value.code == 2
+    assert "--levels" in capsys.readouterr().err
+    cfg = tmp_path / "bad_samples.cfg"
+    cfg.write_text("samples = ten\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_verify_rejects_levels_above_dense_limit(monkeypatch, capsys):
+    class Built(Exception):
+        pass
+
+    def build_geometric(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(mgbench.cli, "build_geometric", build_geometric)
+    for levels in ["8", "2..9"]:
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--levels", levels])
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "level 8" in error and str(DENSE_LIMIT) in error
+    with pytest.raises(Built):       # level 7 passes the bound
+        main(["verify", "--levels", "7"])
+    proc = subprocess.run([sys.executable, "-m", "mgbench.cli", "verify",
+                           "--levels", "8"], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_config_line_rejected(tmp_path, capsys):
