@@ -16,17 +16,13 @@ import sys
 import numpy as np
 
 from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
-    apply_amli_tilde_ns, apply_backslash, apply_v_cycle, required_n, \
-    stationary_solve
+    apply_amli_tilde_ns, apply_backslash, apply_v_cycle, stationary_solve
 from .hierarchy import DEFAULT_MAX_LEVELS, DEFAULT_MIN_COARSE, DEFAULT_THETA, \
     build_geometric, build_ua_amg
 from .linalg import DENSE_LIMIT
-from .problems import assemble_jump, assemble_poisson
+from .problems import MAX_LEVEL, assemble_jump, assemble_poisson
 from .smoothers import SmootherSpec
-from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, CheckReport, \
-    check_approximation_constant, check_comparison_suite, \
-    check_error_representation, check_smoothed_projection_bound, \
-    check_two_grid_factor, rng_for
+from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, rng_for, run_suite
 
 # token -> (column label, cycle function, takes inner PCG steps)
 CYCLES = {
@@ -40,12 +36,16 @@ CYCLES = {
 
 
 def parse_int_list(text):
-    """'5..9' -> [5..9]; '3,5,9' -> [3, 5, 9]."""
+    """'5..9' -> [5..9]; '3,5,9' -> [3, 5, 9]; an empty list is an error."""
     text = str(text).strip()
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("empty list %r" % text)
+    return values
 
 
 def parse_truncation(text):
@@ -56,10 +56,11 @@ def parse_truncation(text):
 
 
 def size_to_level(size):
-    k = round(np.log2(np.sqrt(size) + 1.0))
-    if (2 ** k - 1) ** 2 != size:
-        raise ValueError("size %d is not an interior-grid size (2^k - 1)^2" % size)
-    return int(k)
+    for k in range(1, MAX_LEVEL + 1):
+        if (2 ** k - 1) ** 2 == size:
+            return k
+    raise ValueError("size %d is not an interior-grid size (2^k - 1)^2 with "
+                     "1 <= k <= %d" % (size, MAX_LEVEL))
 
 
 def load_config(path):
@@ -237,19 +238,27 @@ def build_parser():
 
 def row_levels(args, default, ua_default):
     """Mesh levels of the rows: for ua_poisson --size wins, else --levels,
-    else the problem's default."""
-    if args.problem == "ua_poisson":
-        if args.size is not None:
-            return [size_to_level(s) for s in args.size]
-        default = ua_default
-    return args.levels if args.levels is not None else default
+    else the problem's default.  A size other than (2^k - 1)^2 and a level
+    the family cannot build are usage errors."""
+    ua = args.problem == "ua_poisson"
+    levels = args.levels if args.levels is not None else \
+        (ua_default if ua else default)
+    if ua and args.size is not None:
+        try:
+            levels = [size_to_level(s) for s in args.size]
+        except ValueError as exc:
+            args.parser.error(str(exc))
+    lowest = 1 if ua else 2
+    for k in levels:
+        if not lowest <= k <= MAX_LEVEL:
+            args.parser.error("level %d is not in %d..%d for problem %s"
+                              % (k, lowest, MAX_LEVEL, args.problem))
+    return levels
 
 
 def cmd_run(args):
     # ua_poisson default: sizes 3969, 16129, 65025
     levels = row_levels(args, [5, 6, 7, 8, 9], [6, 7, 8])
-    if not levels:
-        args.parser.error("empty level/size range")
     config = dict(vars(args), truncation=args.truncate,
                   cycles=[c.strip() for c in args.cycle.split(",") if c.strip()])
     if args.problem == "ua_poisson":
@@ -273,31 +282,8 @@ def cmd_verify(args):
             args.parser.error("level %d needs a dense coarse operator of %d "
                               "unknowns, above the dense limit %d"
                               % (k, n_coarse, DENSE_LIMIT))
-    levels, samples, seed = args.levels, args.samples, args.seed
-    k_max = max(max(levels), 2)
-    h = build_geometric("poisson", k_max)
-
-    reports = []
-    for k in levels:
-        if k < 2:
-            continue
-        reports.append(check_approximation_constant(h, k, samples, seed))
-        reports.append(check_smoothed_projection_bound(h, k, samples, seed))
-        if k <= 3:
-            reports.append(check_error_representation(h, k, seed=seed))
-        if k <= 5:
-            factor = check_two_grid_factor(h, k)
-            reports.append(CheckReport(
-                name="two_grid_factor_l%d" % k,
-                passed=factor < 1.0,
-                measured={"delta_bar": factor,
-                          "required_n": float(required_n(factor))},
-                violation=max(0.0, factor - 1.0), tolerance=0.0, samples=0))
-    reports.append(check_comparison_suite(h, CycleParams(n_inner=1),
-                                          samples=max(10, samples // 5), seed=seed))
-    reports.append(check_comparison_suite(h, CycleParams(n_inner=2),
-                                          samples=max(10, samples // 5), seed=seed))
-
+    h = build_geometric("poisson", max(max(args.levels), 2))
+    reports = run_suite(h, args.levels, args.samples, args.seed)
     print("name,passed,measured,tolerance,samples")
     for rep in reports:
         print(rep.csv_row())
@@ -316,9 +302,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        # argparse converts string defaults with the flag's own type, and
-        # flags given on the command line still win
-        args.parser.set_defaults(**load_config(args.config))
+        values = load_config(args.config)
+        flags = {a.dest: a for a in args.parser._actions if a.option_strings}
+        for key, value in values.items():
+            if key not in flags:
+                args.parser.error("config key %r names no flag" % key)
+            if flags[key].choices and value not in flags[key].choices:
+                args.parser.error("config key %r: %r is not one of %s"
+                                  % (key, value, "|".join(flags[key].choices)))
+        # argparse converts string defaults with the flag's own type (but
+        # checks no choices), and flags given on the command line still win
+        args.parser.set_defaults(**values)
         args = parser.parse_args(argv)
     return args.handler(args)
 

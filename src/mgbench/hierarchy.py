@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import DenseFactorization, as_csr, rap
-from .problems import assemble_jump, assemble_poisson
+from .problems import MAX_LEVEL, assemble_jump, assemble_poisson
 from .smoothers import SmootherSpec, bind
 
 DEFAULT_THETA = 0.08
@@ -97,7 +97,7 @@ def geometric_prolongator(k):
     return as_csr(sp.csr_matrix((vals, (rows, cols)), shape=(nf * nf, nc * nc)))
 
 
-def build_geometric(problem, k_max, smoother=None, k_min=None, low=1e-6):
+def build_geometric(problem, k_max, smoother=None):
     """Nested geometric hierarchy for 'poisson' or 'jump' up to mesh level k_max.
 
     The finest matrix is assembled directly; coarse operators are Galerkin
@@ -110,21 +110,15 @@ def build_geometric(problem, k_max, smoother=None, k_min=None, low=1e-6):
         raise ValueError("unknown problem %r" % problem)
     if smoother is None:
         smoother = SmootherSpec()
-    if k_min is None:
-        k_min = 2 if problem == "jump" else 1
-    if not k_min <= k_max <= 12 or k_max < 2:
-        raise ValueError("need %d <= k_max <= 12, got %d" % (max(k_min, 2), k_max))
+    if not 2 <= k_max <= MAX_LEVEL:
+        raise ValueError("need 2 <= k_max <= %d, got %d" % (MAX_LEVEL, k_max))
 
-    if problem == "poisson":
-        A, _ = assemble_poisson(k_max)
-    else:
-        A, _ = assemble_jump(k_max, low=low)
-
-    mesh_levels = list(range(k_min, k_max + 1))
+    A, _ = assemble_poisson(k_max) if problem == "poisson" else assemble_jump(k_max)
+    mesh_levels = list(range(1 if problem == "poisson" else 2, k_max + 1))
     matrices = {k_max: A}
     prolongators = {}
     Ak = A
-    for k in range(k_max, k_min, -1):
+    for k in range(k_max, mesh_levels[0], -1):
         P = geometric_prolongator(k)
         prolongators[k - 1] = P
         Ak = rap(P, Ak)

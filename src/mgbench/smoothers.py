@@ -40,7 +40,6 @@ from .linalg import power_method
 DENSE_GS_LIMIT = 640
 
 KINDS = ("gs", "jacobi", "richardson")
-_ALIASES = {"forward_gauss_seidel": "gs", "gauss_seidel": "gs"}
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,7 @@ class SmootherSpec:
     sweeps: int = 1
 
     def __post_init__(self):
-        kind = _ALIASES.get(self.kind, self.kind)
-        object.__setattr__(self, "kind", kind)
-        if kind not in KINDS:
+        if self.kind not in KINDS:
             raise ValueError("unknown smoother kind %r (expected gs|jacobi|richardson)"
                              % self.kind)
         if self.sweeps < 1:

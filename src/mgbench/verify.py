@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
-    apply_amli_tilde_ns, apply_backslash, apply_v_cycle
+    apply_amli_tilde_ns, apply_backslash, apply_v_cycle, required_n
 from .linalg import DenseFactorization, a_norm, spectral_radius
 
 DEFAULT_SEED = 20240501
@@ -59,13 +59,16 @@ def _coarse_projector(h, k):
     return project
 
 
+def _dense(op, n):
+    """Dense matrix of the linear map op on R^n: op applied to each unit vector."""
+    return np.column_stack([op(e) for e in np.eye(n)])
+
+
 def _projection_complement(h, k):
     """Dense S = A(I - Pi), the A-symmetric form of the projection error."""
-    lv = h.level(k)
-    A = lv.A.toarray()
-    P = h.level(k - 1).P_to_finer.toarray()
-    Ac = h.level(k - 1).A.toarray()
-    S = A - (A @ P) @ np.linalg.solve(Ac, P.T @ A)
+    A = h.level(k).A.toarray()
+    project = _coarse_projector(h, k)
+    S = A @ _dense(lambda v: v - project(v), A.shape[0])
     return A, (S + S.T) * 0.5
 
 
@@ -121,10 +124,7 @@ def check_smoothed_projection_bound(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_
     pool = [rng.standard_normal(n) for _ in range(samples)]
     if n <= _CANDIDATE_LIMIT:
         A, S = _projection_complement(h, k)
-        F = np.empty((n, n))
-        eye = np.eye(n)
-        for j in range(n):
-            F[:, j] = eye[:, j] - lv.smoother.apply(lv.A @ eye[:, j])
+        F = _dense(lambda v: v - lv.smoother.apply(lv.A @ v), n)
         num = F.T @ S @ F
         den = A - F.T @ A @ F
         pool.append(_pencil_maximizer((num + num.T) * 0.5, (den + den.T) * 0.5))
@@ -166,47 +166,32 @@ def check_error_representation(h, k, params=None, samples=20, seed=DEFAULT_SEED)
     R = lv.smoother.apply
     Rt = lv.smoother.apply_transpose
 
-    eye = np.eye(n)
-    worst = {"error_form_ns": 0.0, "operator_form_ns": 0.0,
-             "error_form_sym": 0.0, "operator_form_sym": 0.0}
-    scale = {key: 0.0 for key in worst}
+    # key order is the order of the measured values in the CSV row
+    worst = dict.fromkeys(("error_form_ns", "operator_form_ns",
+                           "error_form_sym", "operator_form_sym"), 0.0)
+    scale = dict(worst)
 
-    for j in range(n):
-        e = eye[:, j]
+    def record(key, lhs, rhs):
+        worst[key] = max(worst[key], float(np.linalg.norm(lhs - rhs)))
+        scale[key] = max(scale[key], float(np.linalg.norm(rhs)))
+
+    for e in np.eye(n):
         Ae = A @ e
         vhat = e - R(Ae)
-        lhs = e - apply_amli_ns(h, k, Ae, params)
-        rhs = vhat - P @ apply_amli_tilde_ns(h, k - 1, restrict @ (A @ vhat), params)
-        worst["error_form_ns"] = max(worst["error_form_ns"],
-                                     float(np.linalg.norm(lhs - rhs)))
-        scale["error_form_ns"] = max(scale["error_form_ns"],
-                                     float(np.linalg.norm(rhs)))
-        lhs = e - apply_amli(h, k, Ae, params)
+        record("error_form_ns", e - apply_amli_ns(h, k, Ae, params),
+               vhat - P @ apply_amli_tilde_ns(h, k - 1, restrict @ (A @ vhat), params))
         w = vhat - P @ apply_amli_tilde(h, k - 1, restrict @ (A @ vhat), params)
-        rhs = w - Rt(A @ w)
-        worst["error_form_sym"] = max(worst["error_form_sym"],
-                                      float(np.linalg.norm(lhs - rhs)))
-        scale["error_form_sym"] = max(scale["error_form_sym"],
-                                      float(np.linalg.norm(rhs)))
+        record("error_form_sym", e - apply_amli(h, k, Ae, params), w - Rt(A @ w))
 
     rng = rng_for(seed, "error_representation_l%d" % k)
     for _ in range(samples):
         v = rng.standard_normal(n)
-        lhs = apply_amli_ns(h, k, v, params)
-        rhs = R(v) + P @ apply_amli_tilde_ns(h, k - 1, restrict @ (v - A @ R(v)), params)
-        worst["operator_form_ns"] = max(worst["operator_form_ns"],
-                                        float(np.linalg.norm(lhs - rhs)))
-        scale["operator_form_ns"] = max(scale["operator_form_ns"],
-                                        float(np.linalg.norm(rhs)))
-        lhs = apply_amli(h, k, v, params)
         rv = R(v)
+        record("operator_form_ns", apply_amli_ns(h, k, v, params),
+               rv + P @ apply_amli_tilde_ns(h, k - 1, restrict @ (v - A @ rv), params))
         rbar = rv + Rt(v - A @ rv)
         w = P @ apply_amli_tilde(h, k - 1, restrict @ (v - A @ rv), params)
-        rhs = rbar + w - Rt(A @ w)
-        worst["operator_form_sym"] = max(worst["operator_form_sym"],
-                                         float(np.linalg.norm(lhs - rhs)))
-        scale["operator_form_sym"] = max(scale["operator_form_sym"],
-                                         float(np.linalg.norm(rhs)))
+        record("operator_form_sym", apply_amli(h, k, v, params), rbar + w - Rt(A @ w))
 
     rel = {key: worst[key] / max(scale[key], 1e-300) for key in worst}
     violation = max(rel.values())
@@ -220,14 +205,14 @@ def check_two_grid_factor(h, k):
     """A-norm of the symmetric two-grid error propagator at level k (dense)."""
     lv = h.level(k)
     A = lv.A.toarray()
-    n = A.shape[0]
     project = _coarse_projector(h, k)
-    E = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        w = eye[:, j] - lv.smoother.apply(lv.A @ eye[:, j])
+
+    def two_grid_error(v):
+        w = v - lv.smoother.apply(lv.A @ v)
         w = w - project(w)
-        E[:, j] = w - lv.smoother.apply_transpose(lv.A @ w)
+        return w - lv.smoother.apply_transpose(lv.A @ w)
+
+    E = _dense(two_grid_error, A.shape[0])
     evals, vecs = np.linalg.eigh(A)
     if evals.min() <= 0.0:
         raise ValueError("two-grid operator needs an SPD level matrix")
@@ -316,3 +301,31 @@ def check_comparison_suite(h, params=None, samples=DEFAULT_SAMPLES,
                   "identity_max_rel": max_identity_rel,
                   "tilde_vs_backslash_max_ratio": max_ratio},
         violation=violation, tolerance=1.0, samples=total)
+
+
+def run_suite(h, levels, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
+    """The `mgbench verify` suite on hierarchy h, one report per CSV row:
+    per hierarchy index k in `levels` (1 = coarsest, k < 2 skipped) c1, eta,
+    the error representation at k <= 3 and the dense two-grid factor at
+    k <= 5; then the comparison chains with n = 1 and 2 over all levels."""
+    reports = []
+    for k in levels:
+        if k < 2:
+            continue
+        reports.append(check_approximation_constant(h, k, samples, seed))
+        reports.append(check_smoothed_projection_bound(h, k, samples, seed))
+        if k <= 3:
+            reports.append(check_error_representation(h, k, seed=seed))
+        if k <= 5:
+            factor = check_two_grid_factor(h, k)
+            reports.append(CheckReport(
+                name="two_grid_factor_l%d" % k,
+                passed=factor < 1.0,
+                measured={"delta_bar": factor,
+                          "required_n": float(required_n(factor))},
+                violation=max(0.0, factor - 1.0), tolerance=0.0, samples=0))
+    for n_inner in (1, 2):
+        reports.append(check_comparison_suite(h, CycleParams(n_inner=n_inner),
+                                              samples=max(10, samples // 5),
+                                              seed=seed))
+    return reports

@@ -256,3 +256,72 @@ def test_console_entry_point():
                            "--cycle", "v"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("k,V")
+
+
+def _forbid_building(monkeypatch):
+    """Make every builder the subcommands reach raise, so a usage error is
+    known to come before anything is built."""
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    for name in ("run_experiment", "build_problem", "build_geometric"):
+        monkeypatch.setattr(mgbench.cli, name, built)
+
+
+def _usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("line, named", [
+    ("format = html", "'format'"),
+    ("problem = foo", "'problem'"),
+    ("smoother = bogus", "'smoother'"),
+])
+def test_config_value_outside_choices_is_usage_error(line, named, tmp_path,
+                                                      monkeypatch, capsys):
+    _forbid_building(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("levels = 2\n%s\n" % line)
+    error = _usage_error(["run", "--config", str(cfg)], capsys)
+    assert named in error and line.split(" = ")[1] in error
+
+
+def test_config_key_naming_no_flag_is_usage_error(tmp_path, monkeypatch,
+                                                  capsys):
+    _forbid_building(monkeypatch)
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("level = 2\n")       # --levels, mistyped
+    assert "'level'" in _usage_error(["run", "--config", str(cfg)], capsys)
+    cfg.write_text("samples = 10\n")    # a verify flag, not a run flag
+    assert "'samples'" in _usage_error(["run", "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("command, named", [
+    ("run --levels 13", "level 13"),
+    ("run --levels 1", "level 1"),
+    ("run --levels 0..2", "level 0"),
+    ("run --levels 5..13", "level 13"),
+    ("run --problem jump --levels 1", "level 1"),
+    ("run --problem ua_poisson --levels 13", "level 13"),
+    ("run --problem ua_poisson --size 4000", "size 4000"),
+    ("hierarchy --levels 13", "level 13"),
+    ("run --levels 9..5", "'9..5'"),
+    ("verify --levels 9..5", "'9..5'"),
+])
+def test_out_of_range_levels_and_sizes_are_usage_errors(command, named,
+                                                         monkeypatch, capsys):
+    _forbid_building(monkeypatch)
+    assert named in _usage_error(command.split(), capsys)
+
+
+def test_ua_poisson_level_one_still_runs(capsys):
+    code, out = run_cli(["run", "--problem", "ua_poisson", "--levels", "1",
+                         "--cycle", "v"], capsys)
+    assert code == 0
+    assert out.splitlines() == ["size,V", "1,1"]

@@ -151,10 +151,6 @@ def test_validation_errors():
         SmootherSpec("gs", sweeps=0)
 
 
-def test_alias_accepted():
-    assert SmootherSpec("forward_gauss_seidel").kind == "gs"
-
-
 # Gauss-Seidel on matrices whose diagonal varies from row to row: with a
 # constant diagonal, scaling the triangle on the wrong side cannot show.
 

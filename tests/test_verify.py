@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from mgbench import (CycleParams, SmootherSpec, build_geometric,
-                     measure_smoothing_constant, required_n)
-from mgbench.verify import (check_approximation_constant,
+import mgbench.verify
+from mgbench import (CycleParams, SmootherSpec, assemble_poisson,
+                     build_geometric, build_ua_amg, measure_smoothing_constant,
+                     required_n)
+from mgbench.verify import (CheckReport, check_approximation_constant,
                             check_comparison_suite,
                             check_error_representation,
                             check_smoothed_projection_bound,
-                            check_two_grid_factor, rng_for, _coarse_projector)
+                            check_two_grid_factor, rng_for, run_suite,
+                            _coarse_projector, _projection_complement)
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +25,70 @@ def test_projection_annihilates_coarse_vectors(h4):
     vc = rng.standard_normal(P.shape[1])
     v = P @ vc
     assert np.linalg.norm(v - project(v)) <= 1e-11 * np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_geometric("poisson", 4),
+    lambda: build_geometric("jump", 4),
+    lambda: build_ua_amg(assemble_poisson(5)[0]),
+], ids=["poisson4", "jump4", "ua961"])
+def test_projection_complement_matches_closed_form(build):
+    """S = A(I - Pi) built from the coarse projector equals the closed form
+    A - (A P) Ac^-1 (P^t A) on the finest level of each hierarchy family."""
+    h = build()
+    k = h.n_levels
+    A = h.level(k).A.toarray()
+    P = h.level(k - 1).P_to_finer.toarray()
+    Ac = h.level(k - 1).A.toarray()
+    reference = A - (A @ P) @ np.linalg.solve(Ac, P.T @ A)
+    reference = (reference + reference.T) * 0.5
+    A_out, S = _projection_complement(h, k)
+    assert np.array_equal(A_out, A)
+    assert np.linalg.norm(S - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_run_suite_rows_and_order(monkeypatch):
+    """Which check runs at which level, and in which order: the per-level
+    checks are stubbed, so only run_suite's own bookkeeping runs."""
+    calls = []
+
+    def stub(name):
+        def check(h, k, *args, **kwargs):
+            calls.append((name, k, args, kwargs))
+            return CheckReport(name="%s_l%d" % (name, k), passed=True)
+        return check
+
+    def comparison(h, params, samples, seed):
+        calls.append(("comparison", params.n_inner, samples, seed))
+        return CheckReport(name="comparison_n%d" % params.n_inner, passed=True)
+
+    for check, name in [("check_approximation_constant", "approximation_constant"),
+                        ("check_smoothed_projection_bound", "smoothed_projection"),
+                        ("check_error_representation", "error_representation")]:
+        monkeypatch.setattr(mgbench.verify, check, stub(name))
+    monkeypatch.setattr(mgbench.verify, "check_two_grid_factor",
+                        lambda h, k: k / 10)
+    monkeypatch.setattr(mgbench.verify, "check_comparison_suite", comparison)
+
+    reports = run_suite(object(), [1, 2, 3, 4, 5, 6], samples=30, seed=9)
+    assert [r.name for r in reports] == [
+        "approximation_constant_l2", "smoothed_projection_l2",
+        "error_representation_l2", "two_grid_factor_l2",
+        "approximation_constant_l3", "smoothed_projection_l3",
+        "error_representation_l3", "two_grid_factor_l3",
+        "approximation_constant_l4", "smoothed_projection_l4",
+        "two_grid_factor_l4",
+        "approximation_constant_l5", "smoothed_projection_l5",
+        "two_grid_factor_l5",
+        "approximation_constant_l6", "smoothed_projection_l6",
+        "comparison_n1", "comparison_n2"]
+    assert calls[-2:] == [("comparison", 1, 10, 9), ("comparison", 2, 10, 9)]
+    assert ("approximation_constant", 4, (30, 9), {}) in calls
+    assert ("error_representation", 3, (), {"seed": 9}) in calls
+    two_grid = reports[3]
+    assert two_grid.passed and two_grid.samples == 0
+    assert two_grid.measured == {"delta_bar": 0.2,
+                                 "required_n": float(required_n(0.2))}
 
 
 def test_c1_uniform_across_poisson_levels():
