@@ -48,6 +48,18 @@ def parse_int_list(text):
     return values
 
 
+def parse_cycles(text):
+    """'v,amli' -> ['v', 'amli']; an unknown token or an empty list is an error."""
+    cycles = [tok.strip() for tok in str(text).split(",") if tok.strip()]
+    for cycle in cycles:
+        if cycle not in CYCLES:
+            raise argparse.ArgumentTypeError("unknown cycle %r (expected one of %s)"
+                                             % (cycle, "|".join(CYCLES)))
+    if not cycles:
+        raise argparse.ArgumentTypeError("empty list %r" % text)
+    return cycles
+
+
 def parse_truncation(text):
     text = str(text).strip()
     if text in ("full", "sd"):
@@ -82,9 +94,6 @@ def _columns(cycles, npcg, truncation):
     """(label, cycle function, extra arguments) for each table column."""
     cols = []
     for cycle in cycles:
-        if cycle not in CYCLES:
-            raise ValueError("unknown cycle %r (expected one of %s)"
-                             % (cycle, "|".join(CYCLES)))
         label, fn, inner_steps = CYCLES[cycle]
         if not inner_steps:
             cols.append((label, fn, ()))
@@ -208,7 +217,7 @@ def build_parser():
     run = sub.add_parser("run", help="solve experiment tables")
     _add_common(run, cmd_run)
     _add_problem(run)
-    run.add_argument("--cycle", default="v,amli,amli-tilde",
+    run.add_argument("--cycle", type=parse_cycles, default="v,amli,amli-tilde",
                      help="comma list of " + "|".join(CYCLES))
     run.add_argument("--npcg", type=parse_int_list, default="1,2",
                      help="inner PCG steps, e.g. 1,2")
@@ -232,7 +241,6 @@ def build_parser():
     hi = sub.add_parser("hierarchy", help="print a hierarchy report")
     _add_common(hi, cmd_hierarchy)
     _add_problem(hi)
-    hi.add_argument("--report", action="store_true")
     return ap
 
 
@@ -259,8 +267,7 @@ def row_levels(args, default, ua_default):
 def cmd_run(args):
     # ua_poisson default: sizes 3969, 16129, 65025
     levels = row_levels(args, [5, 6, 7, 8, 9], [6, 7, 8])
-    config = dict(vars(args), truncation=args.truncate,
-                  cycles=[c.strip() for c in args.cycle.split(",") if c.strip()])
+    config = dict(vars(args), truncation=args.truncate, cycles=args.cycle)
     if args.problem == "ua_poisson":
         config["sizes"] = [(2 ** k - 1) ** 2 for k in levels]
         row_header = "size"

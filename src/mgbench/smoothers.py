@@ -15,29 +15,43 @@ builds is.
 
 At or below DENSE_GS_LIMIT unknowns M is kept as a dense Fortran-order
 array and each sweep is one BLAS dtrsv call (the backward sweep with
-trans=1).  On these small levels, which the AMLI cycles visit most, the
-fixed cost of spsolve_triangular (about 80-130 us per call, whatever the
-size) dwarfs the arithmetic: a 9-unknown sweep takes 2-3 us dense, a
-225-unknown one 10-15 us.  dtrsv's cost grows with the n^2 dense entries,
-so above the limit (see DENSE_GS_LIMIT for the measured crossover) the
-sparse solve is kept.
+trans=1).  On these small levels, which the AMLI cycles visit most, even
+the sparse solve's fixed cost of about 10 us per call dwarfs the
+arithmetic: a 9-unknown sweep takes 2-3 us dense, a 225-unknown one
+10-12 us.  dtrsv's cost grows with the n^2 dense entries, so above the
+limit (see DENSE_GS_LIMIT for the measured crossover) the sweep is sparse.
+
+The sparse sweep calls SuperLU's triangular solve (_superlu.gstrs) directly,
+as L = M with an empty U: trans "N" solves with M, trans "T" with M^t, so
+both sweeps use the one stored triangle.  spsolve_triangular ends in the
+same call, with bit-identical results, but first re-prepares the triangle
+on every call: it sets the diagonal M already has, builds an empty U,
+casts the index arrays and checks for duplicates.  Preparing those
+arguments once, at bind time, cuts a forward/backward sweep from 100/130
+to 23/19 us at 961 unknowns and from 2080/2170 to 1120/1020 us at 65025
+(2-core Xeon VM, Poisson matrices).
+Factoring M with splu(permc_spec="NATURAL") solves about as fast, but its
+factor step adds 55-75 ms to the setup at 261121 unknowns (the table-1
+setup is about 0.5 s) and keeps SuperLU's workspace resident; spilu drops
+entries of M.
 """
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtrsv
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from .linalg import power_method
 
 # Largest level whose Gauss-Seidel triangle is stored dense.  Measured on a
-# 2-core Xeon VM (OpenBLAS, one thread), a dense forward plus backward sweep
-# costs as much as the sparse pair at 720-840 unknowns (Poisson and jump
-# matrices) and half as much at 640.  The limit stays below the crossover:
-# near it the saving vanishes while the dense triangle's 8 n^2 bytes (3.3 MB
-# at 640) keep growing.
-DENSE_GS_LIMIT = 640
+# 2-core Xeon VM (OpenBLAS, one thread; principal submatrices of the k=6
+# Poisson and jump matrices and UA-AMG levels; forward+backward us per call,
+# dense vs the direct sparse solve): 225 unknowns 18-23 vs 22-25, 961: 320-360
+# vs 70.  In between the two cost the same within the VM's run-to-run noise
+# (25-45 us each at 289-400 unknowns).  The limit sits low in that band, and
+# keeps the 319-unknown level of the 16129-unknown UA-AMG hierarchy dense.
+DENSE_GS_LIMIT = 320
 
 KINDS = ("gs", "jacobi", "richardson")
 
@@ -73,12 +87,17 @@ class BoundSmoother:
             M.data *= np.repeat(self._inv_d, np.diff(M.indptr))   # column scaling
             M.eliminate_zeros()
             M.setdiag(1.0)
-            self._dense = A.shape[0] <= DENSE_GS_LIMIT
+            n = A.shape[0]
+            self._dense = n <= DENSE_GS_LIMIT
             if self._dense:
                 self._unit_lower = M.toarray(order="F")
             else:
-                self._unit_lower = M
-                self._unit_upper = M.T    # shares M's arrays; D+U = D M^t for symmetric A
+                # gstrs arguments: L = M, then an empty U
+                self._triangle = (n, M.nnz, M.data,
+                                  M.indices.astype(np.intc, copy=False),
+                                  M.indptr.astype(np.intc, copy=False),
+                                  n, 0, np.empty(0), np.empty(0, np.intc),
+                                  np.zeros(n + 1, np.intc))
         elif spec.kind == "jacobi":
             if not 0.0 < spec.weight < 2.0:
                 raise ValueError("Jacobi weight must lie in (0, 2), got %g"
@@ -99,15 +118,11 @@ class BoundSmoother:
                 return dtrsv(self._unit_lower, self._inv_d * f, lower=1, trans=1,
                              diag=1, overwrite_x=1)
             return self._inv_d * dtrsv(self._unit_lower, f, lower=1, diag=1)
-        # overwrite_A lets the solver set the unit diagonal in place, which
-        # M already has, instead of copying M on every call
+        # gstrs returns a new array and leaves b alone; its info flags only
+        # illegal arguments, and a wrong-length b raises ValueError
         if transpose:
-            return spsolve_triangular(self._unit_upper, self._inv_d * f,
-                                      lower=False, unit_diagonal=True,
-                                      overwrite_A=True, overwrite_b=True)
-        return self._inv_d * spsolve_triangular(
-            self._unit_lower, f, lower=True, unit_diagonal=True,
-            overwrite_A=True)
+            return gstrs("T", *self._triangle, self._inv_d * f)[0]
+        return self._inv_d * gstrs("N", *self._triangle, f)[0]
 
     def _sweep(self, f, transpose):
         u = self._single(f, transpose)

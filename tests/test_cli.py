@@ -230,7 +230,7 @@ def test_ua_rows_keyed_by_size(capsys):
 
 def test_hierarchy_subcommand(capsys):
     code, out = run_cli(["hierarchy", "--problem", "ua_poisson",
-                         "--size", "961", "--report"], capsys)
+                         "--size", "961"], capsys)
     assert code == 0
     assert "operator complexity" in out
     code, out = run_cli(["hierarchy", "--problem", "poisson",
@@ -325,3 +325,28 @@ def test_ua_poisson_level_one_still_runs(capsys):
                          "--cycle", "v"], capsys)
     assert code == 0
     assert out.splitlines() == ["size,V", "1,1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--cycle", "foo", "--levels", "2"],
+    ["run", "--cycle", "v,foo", "--levels", "2"],
+])
+def test_unknown_cycle_is_usage_error(argv, monkeypatch, capsys):
+    _forbid_building(monkeypatch)
+    error = _usage_error(argv, capsys)
+    assert "unknown cycle 'foo'" in error and "amli-tilde" in error
+
+
+def test_unknown_cycle_in_config_is_usage_error(tmp_path, monkeypatch, capsys):
+    _forbid_building(monkeypatch)
+    cfg = tmp_path / "cycle.cfg"
+    cfg.write_text("cycle = v, bogus\n")
+    assert "unknown cycle 'bogus'" in _usage_error(["run", "--config", str(cfg)],
+                                                   capsys)
+
+
+def test_hierarchy_has_no_report_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["hierarchy", "--help"])
+    assert "--report" not in capsys.readouterr().out
+    _usage_error(["hierarchy", "--report"], capsys)

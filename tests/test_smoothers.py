@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_triangular
+from scipy.sparse.linalg import spsolve_triangular
 
 from mgbench import (SmootherSpec, a_norm, as_csr, assemble_jump,
                      assemble_poisson, bind, build_ua_amg,
@@ -239,3 +240,70 @@ def spd_m_matrices(draw):
 @given(A=spd_m_matrices())
 def test_gs_variable_diagonal_generated_m_matrix(A):
     check_gs_variable_diagonal(A, np.random.default_rng(8))
+
+
+# The sparse sweep calls SuperLU's triangular solve directly.  The public
+# spsolve_triangular ends in the same call, so it is an exact reference.
+
+def spsolve_gs(A, f, sweeps, transpose):
+    """s sweeps of the scaled-triangle Gauss-Seidel through spsolve_triangular."""
+    inv_d = 1.0 / A.diagonal()
+    M = sp.tril(A, format="csc")
+    M.data *= np.repeat(inv_d, np.diff(M.indptr))
+    M.eliminate_zeros()
+    M.setdiag(1.0)
+
+    def single(r):
+        if transpose:
+            return spsolve_triangular(M.T, inv_d * r, lower=False,
+                                      unit_diagonal=True)
+        return inv_d * spsolve_triangular(M, r, lower=True, unit_diagonal=True)
+
+    u = single(f)
+    for _ in range(sweeps - 1):
+        u = u + single(f - A @ u)
+    return u
+
+
+def check_sparse_gs_exact(A, rng):
+    for sweeps in (1, 2):
+        sm = bind(A, SmootherSpec("gs", sweeps=sweeps))
+        assert not sm._dense
+        for _ in range(2):
+            f = rng.standard_normal(A.shape[0])
+            kept = f.copy()
+            assert np.array_equal(sm.apply(f), spsolve_gs(A, f, sweeps, False))
+            assert np.array_equal(sm.apply_transpose(f),
+                                  spsolve_gs(A, f, sweeps, True))
+            assert np.array_equal(f, kept)
+
+
+def test_sparse_gs_equals_spsolve_triangular_jump_matrix():
+    A, _ = assemble_jump(5)    # 961 unknowns
+    check_sparse_gs_exact(A, np.random.default_rng(10))
+
+
+def test_sparse_gs_equals_spsolve_triangular_ua_level():
+    h = build_ua_amg(assemble_poisson(8)[0])
+    A = next(h.level(k).A for k in range(1, h.n_levels + 1)
+             if h.level(k).A.shape[0] == 1247)
+    assert np.ptp(A.diagonal()) > 0.0
+    check_sparse_gs_exact(A, np.random.default_rng(11))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(A=spd_m_matrices())
+def test_sparse_gs_equals_spsolve_triangular_generated_m_matrix(A):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(smoothers, "DENSE_GS_LIMIT", A.shape[0] - 1)
+        check_sparse_gs_exact(A, np.random.default_rng(12))
+
+
+def test_sparse_gs_rejects_wrong_length():
+    A, _ = assemble_jump(5)
+    sm = bind(A, GS)
+    assert not sm._dense
+    for n in (A.shape[0] - 1, A.shape[0] + 1):
+        for sweep in (sm.apply, sm.apply_transpose):
+            with pytest.raises(ValueError):
+                sweep(np.ones(n))
