@@ -159,32 +159,34 @@ def aggregate(A, theta=DEFAULT_THETA):
                          % int(np.argmax(d <= 0.0)))
     indptr, indices, data = A.indptr, A.indices, A.data
 
-    # strong[i]: positions t in row i's stored entries of strong couplings
+    # row i's strong neighbours and their |A_ij| are cols[b[i]:b[i+1]] and
+    # vals[b[i]:b[i+1]]; plain lists, since the greedy phases are sequential
     rows = np.repeat(np.arange(n), np.diff(indptr))
     t2 = theta * theta
     mask = (indices != rows) & (data * data >= t2 * d[rows] * d[indices])
-    positions = np.flatnonzero(mask).tolist()
-    bounds = np.concatenate(([0], np.cumsum(mask)))[indptr].tolist()
-    strong = [positions[b:e] for b, e in zip(bounds[:-1], bounds[1:])]
+    cols = indices[mask].tolist()
+    vals = np.abs(data[mask]).tolist()
+    b = np.concatenate(([0], np.cumsum(mask)))[indptr].tolist()
 
-    assignment = np.full(n, -1, dtype=np.int64)
+    assignment = [-1] * n
     n_agg = 0
     for i in range(n):
         if assignment[i] != -1:
             continue
-        if all(assignment[indices[t]] == -1 for t in strong[i]):
+        nbrs = cols[b[i]:b[i + 1]]
+        if all(assignment[j] == -1 for j in nbrs):
             assignment[i] = n_agg
-            for t in strong[i]:
-                assignment[indices[t]] = n_agg
+            for j in nbrs:
+                assignment[j] = n_agg
             n_agg += 1
     for i in range(n):
         if assignment[i] != -1:
             continue
         best, best_val = -1, -1.0
-        for t in strong[i]:
-            a = assignment[indices[t]]
-            if a != -1 and abs(data[t]) > best_val:
-                best_val = abs(data[t])
+        for j, v in zip(cols[b[i]:b[i + 1]], vals[b[i]:b[i + 1]]):
+            a = assignment[j]
+            if a != -1 and v > best_val:
+                best_val = v
                 best = a
         if best != -1:
             assignment[i] = best
@@ -192,7 +194,7 @@ def aggregate(A, theta=DEFAULT_THETA):
         if assignment[i] == -1:
             assignment[i] = n_agg
             n_agg += 1
-    return Aggregation(assignment=assignment, n_aggregates=n_agg)
+    return Aggregation(np.array(assignment, dtype=np.int64), n_agg)
 
 
 def piecewise_constant_prolongator(agg, n_fine):

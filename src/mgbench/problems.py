@@ -5,13 +5,17 @@ lower-left to upper-right diagonal.  Dirichlet boundary rows/columns are
 eliminated, leaving the (2^k - 1)^2 interior nodes in lexicographic order
 (x fastest).  For the constant-coefficient Laplacian this yields the
 classical 5-point stencil with diagonal 4.
+
+The stored pattern is that 5-point stencil for any coefficient: the matrix
+is assembled node by node, with no zeros stored.  The SW-NE diagonal is an
+edge of the two triangles of its cell, but in each the gradients of its
+end nodes' hat functions are orthogonal (one varies in x only, the other in
+y only), so the coupling is zero whatever the coefficient.
 """
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-
-from .linalg import as_csr
 
 MAX_LEVEL = 12
 
@@ -86,50 +90,52 @@ class CoefficientField:
 
 
 def _assemble(mesh, coefficient):
-    """Stiffness matrix over interior nodes and the f=1 load vector."""
+    """Stiffness matrix over interior nodes and the f=1 load vector, summed
+    node by node from the triangles' coefficients times _K_LOWER/_K_UPPER."""
     m = mesh.cells_per_side
     h = mesh.h
-    n_full = (m + 1) * (m + 1)
+    N = mesh.nodes_per_side
 
-    # node ids of cell corners, cells in lexicographic order
-    cx, cy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
-    cx = cx.ravel()
-    cy = cy.ravel()
-    sw = cy * (m + 1) + cx
-    se = sw + 1
-    ne = se + (m + 1)
-    nw = sw + (m + 1)
+    # coefficient at the barycenters of each cell's triangles, indexed [cy, cx]
+    x0, y0 = np.meshgrid(np.arange(m) * h, np.arange(m) * h, indexing="xy")
+    a_lo = coefficient(x0 + 2.0 * h / 3.0, y0 + h / 3.0)
+    a_up = coefficient(x0 + h / 3.0, y0 + 2.0 * h / 3.0)
 
-    tri = np.empty((2 * m * m, 3), dtype=np.int64)
-    tri[0::2] = np.column_stack([sw, se, ne])
-    tri[1::2] = np.column_stack([sw, ne, nw])
+    # the diagonal sums the six triangles around node (x, y): it is NE in
+    # cell (x-1, y-1)'s two, NW in cell (x, y-1)'s upper one, SE in cell
+    # (x-1, y)'s lower one and SW in cell (x, y)'s two; each east/north
+    # coupling sums its edge's two.  Any order of the six terms is as
+    # accurate; this one is the order in which scipy sums the duplicates of
+    # an element-by-element COO assembly, so the two agree bit for bit
+    # (scipy 1.17)
+    KL, KU = _K_LOWER, _K_UPPER
+    diag = (KU[1, 1] * a_up[:-1, :-1] + KU[2, 2] * a_up[:-1, 1:]
+            + KL[2, 2] * a_lo[:-1, :-1] + KL[1, 1] * a_lo[1:, :-1]
+            + KL[0, 0] * a_lo[1:, 1:] + KU[0, 0] * a_up[1:, 1:])
+    east = KU[2, 1] * a_up[:-1, 1:-1] + KL[0, 1] * a_lo[1:, 1:-1]
+    north = KL[1, 2] * a_lo[1:-1, :-1] + KU[0, 2] * a_up[1:-1, 1:]
 
-    bary_x = np.empty(2 * m * m)
-    bary_y = np.empty(2 * m * m)
-    x0 = cx * h
-    y0 = cy * h
-    bary_x[0::2] = x0 + 2.0 * h / 3.0
-    bary_y[0::2] = y0 + h / 3.0
-    bary_x[1::2] = x0 + h / 3.0
-    bary_y[1::2] = y0 + 2.0 * h / 3.0
-    a_elem = coefficient(bary_x, bary_y)
+    # row entries in column order: south, west, diagonal, east, north
+    vals = np.empty((N, N, 5))
+    vals[1:, :, 0] = north
+    vals[:, 1:, 1] = east
+    vals[:, :, 2] = diag
+    vals[:, :-1, 3] = east
+    vals[:-1, :, 4] = north
+    keep = np.ones((N, N, 5), dtype=bool)
+    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
+    n = N * N
+    cols = (np.arange(n, dtype=np.int32).reshape(N, N, 1)
+            + np.array([-N, -1, 0, 1, N], dtype=np.int32))
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=2)))).astype(np.int32)
+    A = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
-    k_local = np.empty((2 * m * m, 3, 3))
-    k_local[0::2] = _K_LOWER
-    k_local[1::2] = _K_UPPER
-    k_local *= a_elem[:, None, None]
-
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    A_full = sp.csr_matrix((k_local.ravel(), (rows, cols)), shape=(n_full, n_full))
-
-    load_full = np.zeros(n_full)
-    np.add.at(load_full, tri.ravel(), (h * h / 2.0) / 3.0)
-
-    gx, gy = np.meshgrid(np.arange(1, m), np.arange(1, m), indexing="xy")
-    interior = (gy * (m + 1) + gx).ravel()
-    A = as_csr(A_full[interior][:, interior])
-    return A, load_full[interior]
+    # each of a node's six triangles (area h^2/2) gives it a third of its
+    # area; added one at a time, as an element-by-element sum does
+    load = 0.0
+    for _ in range(6):
+        load += (h * h / 2.0) / 3.0
+    return A, np.full(n, load)
 
 
 def assemble_poisson(k):

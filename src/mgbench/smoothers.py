@@ -119,12 +119,16 @@ class BoundSmoother:
                              diag=1, overwrite_x=1)
             return self._inv_d * dtrsv(self._unit_lower, f, lower=1, diag=1)
         # gstrs returns a new array and leaves b alone; its info flags only
-        # illegal arguments, and a wrong-length b raises ValueError
+        # illegal arguments
         if transpose:
             return gstrs("T", *self._triangle, self._inv_d * f)[0]
         return self._inv_d * gstrs("N", *self._triangle, f)[0]
 
     def _sweep(self, f, transpose):
+        f = np.asarray(f, float)
+        if f.shape[0] != self.A.shape[0]:
+            raise ValueError("dimension mismatch: smoother has %d unknowns, "
+                             "vector has length %d" % (self.A.shape[0], f.shape[0]))
         u = self._single(f, transpose)
         for _ in range(self.spec.sweeps - 1):
             u = u + self._single(f - self.A @ u, transpose)
@@ -132,11 +136,11 @@ class BoundSmoother:
 
     def apply(self, f):
         """R f"""
-        return self._sweep(np.asarray(f, float), transpose=False)
+        return self._sweep(f, transpose=False)
 
     def apply_transpose(self, f):
         """R^t f (backward Gauss-Seidel; Jacobi/Richardson are self-adjoint)."""
-        return self._sweep(np.asarray(f, float), transpose=True)
+        return self._sweep(f, transpose=True)
 
     def composite(self, v):
         """Symmetrized composite: (R + R^t - R A R^t) v."""

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from mgbench import (CoefficientField, DenseFactorization, MeshLevel,
                      assemble_jump, assemble_poisson, geometric_prolongator,
                      rap, symmetry_error)
+from mgbench.problems import _K_LOWER, _K_UPPER
 
 
 def five_point_stencil(k):
@@ -13,6 +14,88 @@ def five_point_stencil(k):
     T = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(n, n))
     off = sp.diags([-1.0, -1.0], [-n, n], shape=(n * n, n * n))
     return (sp.kron(sp.identity(n), T) + off).tocsr()
+
+
+def element_assembly(k, coefficient):
+    """Element-by-element reference: every triangle's local stiffness as COO
+    triplets on the full grid, duplicates summed by scipy, then the interior
+    rows and columns sliced out.  Keeps the always-zero SW-NE couplings as
+    stored zeros."""
+    mesh = MeshLevel(k)
+    m = mesh.cells_per_side
+    h = mesh.h
+    n_full = (m + 1) * (m + 1)
+    cx, cy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
+    cx = cx.ravel()
+    cy = cy.ravel()
+    sw = cy * (m + 1) + cx
+    se = sw + 1
+    ne = se + (m + 1)
+    nw = sw + (m + 1)
+    tri = np.empty((2 * m * m, 3), dtype=np.int64)
+    tri[0::2] = np.column_stack([sw, se, ne])
+    tri[1::2] = np.column_stack([sw, ne, nw])
+
+    bary_x = np.empty(2 * m * m)
+    bary_y = np.empty(2 * m * m)
+    x0 = cx * h
+    y0 = cy * h
+    bary_x[0::2] = x0 + 2.0 * h / 3.0
+    bary_y[0::2] = y0 + h / 3.0
+    bary_x[1::2] = x0 + h / 3.0
+    bary_y[1::2] = y0 + 2.0 * h / 3.0
+    k_local = np.empty((2 * m * m, 3, 3))
+    k_local[0::2] = _K_LOWER
+    k_local[1::2] = _K_UPPER
+    k_local *= coefficient(bary_x, bary_y)[:, None, None]
+
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    A_full = sp.csr_matrix((k_local.ravel(), (rows, cols)), shape=(n_full, n_full))
+    load_full = np.zeros(n_full)
+    np.add.at(load_full, tri.ravel(), (h * h / 2.0) / 3.0)
+
+    gx, gy = np.meshgrid(np.arange(1, m), np.arange(1, m), indexing="xy")
+    interior = (gy * (m + 1) + gx).ravel()
+    A = A_full[interior][:, interior]
+    A.sort_indices()
+    return A, load_full[interior]
+
+
+def assert_five_point_pattern(A, k):
+    n = (2 ** k - 1) ** 2
+    assert A.has_canonical_format
+    assert A.nnz == 5 * n - 4 * (2 ** k - 1)
+    assert np.all(A.data != 0.0)
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_poisson_equals_element_assembly(k):
+    A, f = assemble_poisson(k)
+    ref, ref_f = element_assembly(k, CoefficientField("constant"))
+    assert ref.nnz - np.count_nonzero(ref.data) == 2 * (2 ** k - 2) ** 2
+    ref.eliminate_zeros()
+    assert_five_point_pattern(A, k)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    assert np.array_equal(A.data, ref.data)
+    assert np.array_equal(f, ref_f)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_jump_equals_element_assembly(k):
+    A, f = assemble_jump(k)
+    field = CoefficientField("jump", low_value=1e-6)
+    ref, _ = element_assembly(k, field)
+    ref.eliminate_zeros()
+    assert_five_point_pattern(A, k)
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    # the reference sums a node's six triangles in scipy's duplicate order,
+    # which scipy leaves unspecified; where it differs from the assembly's,
+    # diagonals at coefficient interfaces may differ by an ulp
+    assert np.all(np.abs(A.data - ref.data) <= 5e-16 * np.abs(ref.data))
+    assert not f.any()
 
 
 def test_level_one_single_unknown():

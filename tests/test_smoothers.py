@@ -307,3 +307,21 @@ def test_sparse_gs_rejects_wrong_length():
         for sweep in (sm.apply, sm.apply_transpose):
             with pytest.raises(ValueError):
                 sweep(np.ones(n))
+
+
+@pytest.mark.parametrize("k,spec,dense", [(3, GS, True), (5, GS, False),
+                                          (3, SmootherSpec("jacobi", 0.8), None),
+                                          (3, SmootherSpec("richardson", 0.8), None)])
+def test_smoother_rejects_wrong_length(k, spec, dense):
+    # dense GS (49 unknowns), sparse GS (961), Jacobi and Richardson; each
+    # wrong length used to broadcast or fail inside BLAS
+    A, _ = assemble_poisson(k)
+    sm = bind(A, spec)
+    n = A.shape[0]
+    if dense is not None:
+        assert sm._dense == dense
+    for m in (1, n - 1, n + 1):
+        for method in (sm.apply, sm.apply_transpose, sm.composite):
+            with pytest.raises(ValueError, match=r"\b%d unknowns, vector has length %d\b"
+                                                 % (n, m)):
+                method(np.ones(m))
