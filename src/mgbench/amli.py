@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import inner
+from .linalg import spmv
 
 RESIDUAL_EXIT_REL = 1e-14
 BREAKDOWN_REL = 1e-30
@@ -73,6 +73,11 @@ def run_pcg(A, precond, f, params):
     Exits early once ||r|| <= 1e-14 ||f||; a direction with vanishing energy
     raises PCGBreakdownError, and an f whose length is not A's raises
     ValueError.
+
+    The AMLI cycles call this thousands of times on small levels, so its own
+    work is kept low.  Residuals are stored uncopied: r is only ever rebound,
+    never updated in place, and r_0 is a copy of f.  Inner products are
+    plain np.dot, and norms sqrt(r.r), as np.linalg.norm computes them.
     """
     f = np.asarray(f, float)
     if f.shape[0] != A.shape[0]:
@@ -80,8 +85,8 @@ def run_pcg(A, precond, f, params):
                          "has length %d" % (A.shape[0], f.shape[0]))
     u = np.zeros_like(f)
     r = f.copy()
-    state = PcgState(iterate=u, residual=r, residuals=[r.copy()])
-    f_norm = np.linalg.norm(f)
+    state = PcgState(iterate=u, residual=r, residuals=[r])
+    f_norm = math.sqrt(np.dot(r, r))
     if f_norm == 0.0:
         return state
 
@@ -95,21 +100,21 @@ def run_pcg(A, precond, f, params):
         else:
             against = state.directions[-(trunc + 1):]
         if against:
-            Ap0 = A @ p
+            Ap0 = spmv(A, p)
             for pj, _apj, paj in against:
-                p = p - (inner(Ap0, pj) / paj) * pj
-        Ap = A @ p
-        p_energy = inner(p, Ap)
-        if p_energy <= BREAKDOWN_REL * inner(p, p):
+                p = p - (float(np.dot(Ap0, pj)) / paj) * pj
+        Ap = spmv(A, p)
+        p_energy = float(np.dot(p, Ap))
+        if p_energy <= BREAKDOWN_REL * float(np.dot(p, p)):
             raise PCGBreakdownError("PCG breakdown: zero-energy direction")
-        alpha = inner(r, p) / p_energy
+        alpha = float(np.dot(r, p)) / p_energy
         u = u + alpha * p
         r = r - alpha * Ap
         state.directions.append((p, Ap, p_energy))
-        state.residuals.append(r.copy())
+        state.residuals.append(r)
         state.iterate = u
         state.residual = r
-        if np.linalg.norm(r) <= RESIDUAL_EXIT_REL * f_norm:
+        if math.sqrt(np.dot(r, r)) <= RESIDUAL_EXIT_REL * f_norm:
             break
     return state
 
@@ -137,17 +142,17 @@ def apply_cycle(h, k, f, symmetric, params=None):
         return h.coarsest_solver.solve(f)
     u1 = lv.smoother.apply(f)
     coarser = h.level(k - 1)
-    g = coarser.R @ (f - lv.A @ u1)
+    g = spmv(coarser.R, f - spmv(lv.A, u1))
     if params is None:
         coarse = apply_cycle(h, k - 1, g, symmetric)
     else:
         coarse = nonlinear_pcg(
             coarser.A, lambda rr: apply_cycle(h, k - 1, rr, symmetric, params),
             g, params)
-    u2 = u1 + coarser.P_to_finer @ coarse
+    u2 = u1 + spmv(coarser.P_to_finer, coarse)
     if not symmetric:
         return u2
-    return u2 + lv.smoother.apply_transpose(f - lv.A @ u2)
+    return u2 + lv.smoother.apply_transpose(f - spmv(lv.A, u2))
 
 
 def apply_backslash(h, k, f):

@@ -4,7 +4,9 @@ A Hierarchy stores levels coarsest-first; level(k) with k = 1..n_levels
 follows that order (1 is coarsest).  Prolongators sit on the coarse level
 they interpolate from (P_to_finer), restriction is always the transpose,
 formed once per level (Level.R).
-All coarse operators are Galerkin products of the finest matrix.
+All coarse operators are Galerkin products of the finest matrix.  Each
+product is exactly symmetric by construction, so a builder checks the
+symmetry of the finest matrix at most once and never that of a coarse one.
 """
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -12,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import DenseFactorization, as_csr, rap
+from .linalg import DenseFactorization, _galerkin, as_csr, rap
 from .problems import MAX_LEVEL, assemble_jump, assemble_poisson
 from .smoothers import SmootherSpec, bind
 
@@ -100,11 +102,13 @@ def geometric_prolongator(k):
 def build_geometric(problem, k_max, smoother=None):
     """Nested geometric hierarchy for 'poisson' or 'jump' up to mesh level k_max.
 
-    The finest matrix is assembled directly; coarse operators are Galerkin
-    products through the geometric prolongators (identical to direct coarse
-    assembly wherever the latter is defined).  The jump hierarchy stops at
-    mesh level 2: the single level-1 node cannot represent the coefficient
-    regions, which stalls the island near-kernel modes.
+    The finest matrix is assembled directly and is symmetric by
+    construction (each coupling is written into both of its entries), so
+    it is not checked; coarse operators are Galerkin products through the
+    geometric prolongators (identical to direct coarse assembly wherever
+    the latter is defined).  The jump hierarchy stops at mesh level 2: the
+    single level-1 node cannot represent the coefficient regions, which
+    stalls the island near-kernel modes.
     """
     if problem not in ("poisson", "jump"):
         raise ValueError("unknown problem %r" % problem)
@@ -121,7 +125,7 @@ def build_geometric(problem, k_max, smoother=None):
     for k in range(k_max, mesh_levels[0], -1):
         P = geometric_prolongator(k)
         prolongators[k - 1] = P
-        Ak = rap(P, Ak)
+        Ak = _galerkin(P, Ak)
         matrices[k - 1] = Ak
 
     levels = []
@@ -210,7 +214,8 @@ def build_ua_amg(A_fine, theta=DEFAULT_THETA, min_coarse=DEFAULT_MIN_COARSE,
 
     Coarsening repeats until the dimension drops to min_coarse or max_levels
     is reached; two consecutive aggregations that fail to reduce the
-    dimension raise CoarseningStagnation.
+    dimension raise CoarseningStagnation.  The first coarsening is rap,
+    which checks A_fine (NonSPDError if it is not symmetric).
     """
     if smoother is None:
         smoother = SmootherSpec()
@@ -229,7 +234,7 @@ def build_ua_amg(A_fine, theta=DEFAULT_THETA, min_coarse=DEFAULT_MIN_COARSE,
         else:
             stagnant = 0
         P = piecewise_constant_prolongator(agg, Ak.shape[0])
-        Ak = rap(P, Ak)
+        Ak = rap(P, Ak) if len(levels) == 1 else _galerkin(P, Ak)
         levels.append(Level(A=Ak, P_to_finer=P))
 
     levels.reverse()   # coarsest first; each P_to_finer already sits on its coarse level

@@ -42,7 +42,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dtrsv
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 
-from .linalg import power_method
+from .linalg import power_method, spmv
 
 # Largest level whose Gauss-Seidel triangle is stored dense.  Measured on a
 # 2-core Xeon VM (OpenBLAS, one thread; principal submatrices of the k=6
@@ -70,6 +70,26 @@ class SmootherSpec:
             raise ValueError("sweeps must be >= 1, got %d" % self.sweeps)
 
 
+def _unit_lower_csc(A, inv_d):
+    """M = (D+L) D^-1 as a canonical CSC matrix (CSC is what gstrs takes).
+
+    Scales the columns of A's CSC form by inv_d, zeroes the entries above
+    the diagonal, sets the diagonal to 1 and drops every zero at once.  The
+    result has the entries, in the same order, of sp.tril(A, format="csc")
+    scaled the same way, without tril's round trip through COO.
+    """
+    C = sp.csc_matrix(A, copy=True)   # sum_duplicates works in place
+    C.sum_duplicates()
+    counts = np.diff(C.indptr)
+    cols = np.repeat(np.arange(C.shape[1], dtype=C.indices.dtype), counts)
+    C.data *= np.repeat(inv_d, counts)
+    C.data[C.indices < cols] = 0.0
+    C.data[C.indices == cols] = 1.0
+    C.eliminate_zeros()
+    # eliminate_zeros can leave views of the full-size arrays; keep only M
+    return C.copy()
+
+
 class BoundSmoother:
     """SmootherSpec bound to a concrete matrix, with its scaled triangle or scaling."""
 
@@ -82,11 +102,7 @@ class BoundSmoother:
                              % int(np.argmin(d != 0.0)))
         if spec.kind == "gs":
             self._inv_d = 1.0 / d
-            # (D+L) = M D with M unit lower; CSC is what the solver takes as is
-            M = sp.tril(A, format="csc")
-            M.data *= np.repeat(self._inv_d, np.diff(M.indptr))   # column scaling
-            M.eliminate_zeros()
-            M.setdiag(1.0)
+            M = _unit_lower_csc(A, self._inv_d)
             n = A.shape[0]
             self._dense = n <= DENSE_GS_LIMIT
             if self._dense:
@@ -131,7 +147,7 @@ class BoundSmoother:
                              "vector has length %d" % (self.A.shape[0], f.shape[0]))
         u = self._single(f, transpose)
         for _ in range(self.spec.sweeps - 1):
-            u = u + self._single(f - self.A @ u, transpose)
+            u = u + self._single(f - spmv(self.A, u), transpose)
         return u
 
     def apply(self, f):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
     apply_amli_tilde_ns, apply_backslash, apply_v_cycle, required_n
-from .linalg import DenseFactorization, a_norm, spectral_radius
+from .linalg import DenseFactorization, a_norm, spectral_radius, spmv
 
 DEFAULT_SEED = 20240501
 DEFAULT_SAMPLES = 100
@@ -256,14 +256,14 @@ def check_comparison_suite(h, params=None, samples=DEFAULT_SAMPLES,
             if nv2 == 0.0:
                 continue
             total += 1
-            Av = A @ v
+            Av = spmv(A, v)
 
             e_t = v - apply_amli_tilde(h, k, Av, params)
             e_h = v - apply_amli(h, k, Av, params)
             e_v = v - apply_v_cycle(h, k, Av)
-            q_t = float(np.dot(A @ e_t, v))
-            q_h = float(np.dot(A @ e_h, v))
-            q_v = float(np.dot(A @ e_v, v))
+            q_t = float(np.dot(spmv(A, e_t), v))
+            q_h = float(np.dot(spmv(A, e_h), v))
+            q_v = float(np.dot(spmv(A, e_v), v))
             min_slack_sym = min(min_slack_sym, q_t / nv2,
                                 (q_h - q_t) / nv2, (q_v - q_h) / nv2)
 

@@ -352,3 +352,79 @@ def test_pcg_state_residual_consistency(h4):
     for p, Ap, e in state.directions:
         assert e > 0.0
         assert np.linalg.norm(A @ p - Ap) <= 1e-12 * np.linalg.norm(Ap)
+
+
+def reference_run_pcg(A, precond, f, params):
+    """run_pcg as it was before it stopped copying residuals: a copy per
+    stored residual, the length-checked inner product and np.linalg.norm."""
+    def inner(x, y):
+        assert x.shape[0] == y.shape[0]
+        return float(np.dot(x, y))
+
+    f = np.asarray(f, float)
+    u = np.zeros_like(f)
+    r = f.copy()
+    residuals, energies = [r.copy()], []
+    f_norm = np.linalg.norm(f)
+    if f_norm == 0.0:
+        return u, residuals, energies
+    directions = []
+    trunc = params.truncation
+    for _ in range(params.n_inner):
+        p = np.asarray(precond(r), float)
+        if trunc == "full":
+            against = directions
+        elif trunc == "sd":
+            against = ()
+        else:
+            against = directions[-(trunc + 1):]
+        if against:
+            Ap0 = A @ p
+            for pj, _apj, paj in against:
+                p = p - (inner(Ap0, pj) / paj) * pj
+        Ap = A @ p
+        p_energy = inner(p, Ap)
+        alpha = inner(r, p) / p_energy
+        u = u + alpha * p
+        r = r - alpha * Ap
+        directions.append((p, Ap, p_energy))
+        residuals.append(r.copy())
+        energies.append(p_energy)
+        if np.linalg.norm(r) <= 1e-14 * f_norm:
+            break
+    return u, residuals, energies
+
+
+@pytest.mark.parametrize("truncation", ["full", "sd", 0, 1])
+def test_pcg_residual_history_matches_copying_reference(h4, truncation):
+    A = h4.finest.A
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 4):
+        params = CycleParams(n_inner=n, truncation=truncation)
+        precond = lambda g: apply_amli(h4, 4, g, P2)
+        for f in (rng.standard_normal(A.shape[0]),
+                  rng.standard_normal(2 * A.shape[0])[::2]):    # a strided view
+            state = run_pcg(A, precond, f, params)
+            u, residuals, energies = reference_run_pcg(A, precond, f, params)
+            assert len(state.residuals) == len(residuals)
+            for got, ref in zip(state.residuals, residuals):
+                assert got.tobytes() == ref.tobytes()
+            assert state.iterate.tobytes() == u.tobytes()
+            assert [e for _, _, e in state.directions] == energies
+
+
+def test_pcg_stores_each_residual_once_and_apart_from_f(h4):
+    A = h4.finest.A
+    f = np.random.default_rng(17).standard_normal(A.shape[0])
+    params = CycleParams(n_inner=4)
+    state = run_pcg(A, lambda g: apply_v_cycle(h4, 4, g), f, params)
+    assert len(state.residuals) == params.n_inner + 1
+    assert state.residual is state.residuals[-1]
+    for i, a in enumerate(state.residuals):
+        assert not np.shares_memory(a, f)
+        for b in state.residuals[i + 1:]:
+            assert not np.shares_memory(a, b)
+    r0 = state.residuals[0].copy()
+    assert np.array_equal(r0, f)
+    f[:] = 0.0
+    assert np.array_equal(state.residuals[0], r0)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mgbench import (CoarseningStagnation, DENSE_LIMIT, aggregate, as_csr,
-                     assemble_jump, assemble_poisson, a_norm, build_geometric,
-                     build_ua_amg, geometric_prolongator,
-                     piecewise_constant_prolongator, rap)
+from mgbench import (CoarseningStagnation, DENSE_LIMIT, NonSPDError, aggregate,
+                     as_csr, assemble_jump, assemble_poisson, a_norm,
+                     build_geometric, build_ua_amg, geometric_prolongator,
+                     piecewise_constant_prolongator, rap, symmetry_error)
 
 # frozen first-run snapshots; the greedy pass is deterministic by design
 POISSON_K3_THETA008_N_AGG = 10
@@ -138,6 +138,28 @@ def test_build_geometric_levels_are_galerkin_consistent():
         P = h.level(k - 1).P_to_finer
         diff = abs(rap(P, h.level(k).A) - h.level(k - 1).A)
         assert (diff.max() if diff.nnz else 0.0) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_geometric("poisson", 6),
+    lambda: build_geometric("jump", 6),
+    lambda: build_ua_amg(assemble_poisson(7)[0]),
+], ids=["poisson", "jump", "ua_poisson"])
+def test_every_level_is_exactly_symmetric(build):
+    # the builders check the finest matrix at most once (UA-AMG in its first
+    # rap; geometric assembly writes each coupling into both entries) and
+    # rely on every Galerkin product being exactly symmetric
+    h = build()
+    assert h.n_levels >= 4
+    for lv in h.levels:
+        assert symmetry_error(lv.A) == 0.0
+
+
+def test_build_ua_amg_rejects_nonsymmetric_input():
+    A = assemble_poisson(5)[0].tolil()
+    A[0, 1] *= 1.5
+    with pytest.raises(NonSPDError, match="not symmetric"):
+        build_ua_amg(A.tocsr())
 
 
 def test_jump_hierarchy_stops_at_resolvable_level():

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from mgbench import (DenseFactorization, NonSPDError, a_norm, as_csr,
-                     assemble_poisson, inner, power_method, rap,
+                     assemble_poisson, inner, linalg, power_method, rap,
                      spectral_radius, spmv, symmetry_error)
 
 RNG = np.random.default_rng(20240501)
@@ -33,6 +33,98 @@ def test_spmv_hand_2x2():
 def test_spmv_dimension_mismatch_names_both_lengths():
     with pytest.raises(ValueError, match="2.*3|3.*2"):
         spmv(A22, np.zeros(3))
+
+
+# spmv calls scipy's csr_matvec/csc_matvec directly for float64 CSR/CSC
+# matrices and 1-D float64 vectors, and falls back to A @ x otherwise.  The
+# kernels are replaced by counting (or failing) wrappers to see which path
+# a call took.
+
+def spy_kernels(monkeypatch, allowed):
+    calls = []
+
+    def wrap(cls, kernel):
+        def spy(*args):
+            assert allowed, "fast path taken for a fallback operand"
+            calls.append(cls)
+            return kernel(*args)
+        return spy
+    monkeypatch.setattr(linalg, "_MATVEC", {
+        cls: wrap(cls, kernel) for cls, kernel in linalg._MATVEC.items()})
+    return calls
+
+
+def sparse_with_empty_rows_and_columns(fmt, index_dtype):
+    rng = np.random.default_rng(3)
+    D = rng.standard_normal((7, 5))
+    D[np.abs(D) < 0.6] = 0.0
+    D[[1, 4], :] = 0.0      # empty rows
+    D[:, [0, 3]] = 0.0      # empty columns
+    A = sp.csr_matrix(D) if fmt == "csr" else sp.csc_matrix(D)
+    A.indices = A.indices.astype(index_dtype)
+    A.indptr = A.indptr.astype(index_dtype)
+    return A
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_spmv_fast_path_is_bit_identical_to_matmul(monkeypatch, fmt, index_dtype):
+    A = sparse_with_empty_rows_and_columns(fmt, index_dtype)
+    assert A.indices.dtype == index_dtype and A.indptr.dtype == index_dtype
+    rng = np.random.default_rng(4)
+    contiguous = rng.standard_normal(5)
+    strided = rng.standard_normal(15)[::3]
+    assert not strided.flags.c_contiguous
+    calls = spy_kernels(monkeypatch, allowed=True)
+    for x in (contiguous, strided):
+        got = spmv(A, x)
+        ref = A @ x
+        assert got.dtype == ref.dtype == np.float64 and got.shape == (7,)
+        assert got.tobytes() == ref.tobytes()
+        assert got[1] == got[4] == 0.0
+    assert calls == [type(A), type(A)]
+
+
+class MatmulOnly:
+    """Has __matmul__ but no shape, like the benchmark's transpose proxy."""
+
+    def __init__(self, A):
+        self._A = A
+
+    def __matmul__(self, x):
+        return ("via matmul", self._A @ x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda A, x: (A.toarray(), x),                          # dense ndarray
+    lambda A, x: (sp.csr_matrix(A.toarray().astype(np.int64)), x),
+    lambda A, x: (sp.csr_matrix(A.toarray() * (1 + 1j)), x),
+    lambda A, x: (A, np.stack([x, 2 * x], axis=1)),         # 2-D x
+    lambda A, x: (A, x.astype(np.float32)),
+    lambda A, x: (A, list(x)),
+    lambda A, x: (sp.csr_array(A), x),                      # not exactly csr_matrix
+    lambda A, x: (MatmulOnly(A), x),
+], ids=["dense", "int64-data", "complex-data", "2d-x", "float32-x", "list-x",
+        "csr_array", "matmul-only"])
+def test_spmv_falls_back_to_matmul(monkeypatch, make):
+    A, x = make(sparse_with_empty_rows_and_columns("csr", np.int32),
+                np.random.default_rng(6).standard_normal(5))
+    spy_kernels(monkeypatch, allowed=False)
+    got = spmv(A, x)
+    ref = A @ x
+    if isinstance(A, MatmulOnly):
+        assert got[0] == "via matmul" and np.array_equal(got[1], ref[1])
+    else:
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_spmv_fast_path_length_mismatch_names_both_lengths(fmt):
+    A = sparse_with_empty_rows_and_columns(fmt, np.int32)
+    for m in (4, 6):
+        with pytest.raises(ValueError, match=r"\b5 columns, vector has length %d\b" % m):
+            spmv(A, np.ones(m))
 
 
 def test_spmv_is_linear():

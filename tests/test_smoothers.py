@@ -6,7 +6,7 @@ from scipy.linalg import solve_triangular
 from scipy.sparse.linalg import spsolve_triangular
 
 from mgbench import (SmootherSpec, a_norm, as_csr, assemble_jump,
-                     assemble_poisson, bind, build_ua_amg,
+                     assemble_poisson, bind, build_geometric, build_ua_amg,
                      measure_smoothing_constant, smoothers, spectral_radius)
 
 A22 = as_csr(sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 4.0]])))
@@ -245,13 +245,20 @@ def test_gs_variable_diagonal_generated_m_matrix(A):
 # The sparse sweep calls SuperLU's triangular solve directly.  The public
 # spsolve_triangular ends in the same call, so it is an exact reference.
 
-def spsolve_gs(A, f, sweeps, transpose):
-    """s sweeps of the scaled-triangle Gauss-Seidel through spsolve_triangular."""
+def tril_unit_lower(A):
+    """M = (D+L) D^-1 through sp.tril, the reference for _unit_lower_csc."""
     inv_d = 1.0 / A.diagonal()
     M = sp.tril(A, format="csc")
     M.data *= np.repeat(inv_d, np.diff(M.indptr))
     M.eliminate_zeros()
     M.setdiag(1.0)
+    return M
+
+
+def spsolve_gs(A, f, sweeps, transpose):
+    """s sweeps of the scaled-triangle Gauss-Seidel through spsolve_triangular."""
+    inv_d = 1.0 / A.diagonal()
+    M = tril_unit_lower(A)
 
     def single(r):
         if transpose:
@@ -263,6 +270,48 @@ def spsolve_gs(A, f, sweeps, transpose):
     for _ in range(sweeps - 1):
         u = u + single(f - A @ u)
     return u
+
+
+def assert_unit_lower_matches_tril(A):
+    got = smoothers._unit_lower_csc(A, 1.0 / A.diagonal())
+    ref = tril_unit_lower(A)
+    assert type(got) is sp.csc_matrix
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert got.data.tobytes() == ref.data.tobytes()
+
+
+def test_unit_lower_matches_tril_on_workload_hierarchies():
+    # every level of the benchmark's hierarchies: geometric Poisson k = 9,
+    # UA-AMG on Poisson k = 8, and the k = 6 Poisson and jump hierarchies
+    for h in (build_geometric("poisson", 9),
+              build_ua_amg(assemble_poisson(8)[0]),
+              build_geometric("poisson", 6), build_geometric("jump", 6)):
+        for lv in h.levels:
+            assert_unit_lower_matches_tril(lv.A)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_unit_lower_matches_tril_on_jump_matrices(k):
+    assert_unit_lower_matches_tril(assemble_jump(k)[0])
+
+
+def test_unit_lower_drops_zeros_and_keeps_input():
+    # explicit zeros below the diagonal, an unsorted row and a duplicate
+    A = sp.csr_matrix((np.array([4.0, 0.0, -1.0, 2.0, -1.0, 3.0, 0.0, 5.0, 1.0]),
+                       np.array([0, 1, 2, 1, 0, 1, 0, 2, 1]),
+                       np.array([0, 3, 5, 9])), shape=(3, 3))
+    assert not A.has_canonical_format
+    kept = (A.data.copy(), A.indices.copy(), A.indptr.copy())
+    assert_unit_lower_matches_tril(A)
+    assert all(np.array_equal(a, b) for a, b in
+               zip((A.data, A.indices, A.indptr), kept))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(A=spd_m_matrices())
+def test_unit_lower_matches_tril_on_generated_m_matrices(A):
+    assert_unit_lower_matches_tril(A)
 
 
 def check_sparse_gs_exact(A, rng):

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import mgbench
-from mgbench import CycleParams, apply_amli, apply_amli_tilde, apply_v_cycle
+from mgbench import (CycleParams, apply_amli, apply_amli_tilde, apply_backslash,
+                     apply_v_cycle)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
@@ -51,3 +52,23 @@ def test_traced_hierarchy_is_bit_identical_and_sees_every_visit(hierarchy, cycle
     # every restriction and prolongation went through the proxies
     transfers = sum(tracer.counts.get("transfer.L%d" % k, 0) for k in range(1, K))
     assert transfers == 2 * sum(seen[k] for k in range(2, K + 1))
+
+
+@pytest.mark.parametrize("cycle,apply,per_visit", [
+    ("v", apply_v_cycle, 2),            # pre- and post-smoothing residuals
+    ("backslash", apply_backslash, 1),  # the pre-smoothing residual only
+])
+def test_traced_linear_cycles_count_every_level_matvec(hierarchy, cycle, apply,
+                                                       per_visit):
+    # the residual products must reach the level-matrix proxies; a fast path
+    # that unwrapped them would zero the per-level matvec metrics silently
+    f = np.random.default_rng(11).standard_normal(hierarchy.finest.A.shape[0])
+    plain = apply(hierarchy, K, f)
+    tracer = tracing.Tracer()
+    traced = apply(tracing.traced_hierarchy(hierarchy, tracer), K, f)
+
+    assert np.array_equal(traced, plain)
+    visits = checks.visits_per_apply(cycle, None, K)
+    for k in range(2, K + 1):
+        assert tracer.counts.get("cycles.visits.L%d" % k, 0) == visits[k]
+        assert tracer.counts.get("linalg.matvec.L%d" % k, 0) == per_visit * visits[k]
