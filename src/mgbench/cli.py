@@ -20,7 +20,7 @@ from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
 from .hierarchy import DEFAULT_MAX_LEVELS, DEFAULT_MIN_COARSE, DEFAULT_THETA, \
     build_geometric, build_ua_amg
 from .linalg import DENSE_LIMIT
-from .problems import MAX_LEVEL, assemble_jump, assemble_poisson
+from .problems import MAX_LEVEL, assemble_poisson, load_vector
 from .smoothers import SmootherSpec
 from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, rng_for, run_suite
 
@@ -108,12 +108,14 @@ def build_problem(problem, k, smoother=None, theta=DEFAULT_THETA,
                   min_coarse=DEFAULT_MIN_COARSE, max_levels=DEFAULT_MAX_LEVELS):
     """System matrix A, right-hand side f and hierarchy of one problem family
     at mesh level k; theta, min_coarse and max_levels shape only the
-    ua_poisson (UA-AMG) hierarchy."""
-    A, f = assemble_jump(k) if problem == "jump" else assemble_poisson(k)
+    ua_poisson (UA-AMG) hierarchy.  The geometric families assemble A once,
+    as the finest level of their hierarchy."""
     if problem == "ua_poisson":
+        A, f = assemble_poisson(k)
         return A, f, build_ua_amg(A, theta=theta, min_coarse=min_coarse,
                                   max_levels=max_levels, smoother=smoother)
-    return A, f, build_geometric(problem, k, smoother=smoother)
+    h = build_geometric(problem, k, smoother=smoother)
+    return h.finest.A, load_vector(problem, k), h
 
 
 def run_experiment(config):

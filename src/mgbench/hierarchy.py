@@ -8,6 +8,7 @@ All coarse operators are Galerkin products of the finest matrix.  Each
 product is exactly symmetric by construction, so a builder checks the
 symmetry of the finest matrix at most once and never that of a coarse one.
 """
+import array
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -145,13 +146,17 @@ class Aggregation:
 
 
 def aggregate(A, theta=DEFAULT_THETA):
-    """Greedy three-phase aggregation on the strength graph of A.
+    """Greedy aggregation on the strength graph of A.
 
     Nodes i, j are strongly coupled iff |A_ij| >= theta * sqrt(A_ii A_jj).
     Phase 1 scans nodes in order and turns each fully-unaggregated strong
-    neighborhood into a new aggregate; phase 2 attaches leftover nodes to
-    the neighboring aggregate with the strongest coupling (ties favor the
-    earlier neighbor); phase 3 makes singletons of anything left.
+    neighborhood into a new aggregate.  Phase 2 runs over the nodes phase 1
+    left unaggregated, in order, and attaches each to the neighboring
+    aggregate with the strongest coupling (ties favor the earlier
+    neighbor), which may be one it attached an earlier node to.  The usual
+    third phase, singletons of anything left, never has work: phase 1
+    passes over a node only when one of its strong neighbors is already
+    aggregated, and phase 2 then attaches it.
     """
     A = as_csr(A)
     if not 0.0 <= theta < 1.0:
@@ -163,14 +168,18 @@ def aggregate(A, theta=DEFAULT_THETA):
                          % int(np.argmax(d <= 0.0)))
     indptr, indices, data = A.indptr, A.indices, A.data
 
-    # row i's strong neighbours and their |A_ij| are cols[b[i]:b[i+1]] and
-    # vals[b[i]:b[i+1]]; plain lists, since the greedy phases are sequential
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    t2 = theta * theta
-    mask = (indices != rows) & (data * data >= t2 * d[rows] * d[indices])
-    cols = indices[mask].tolist()
-    vals = np.abs(data[mask]).tolist()
-    b = np.concatenate(([0], np.cumsum(mask)))[indptr].tolist()
+    # strong: off the diagonal and A_ij^2 >= (theta^2 A_ii) A_jj.  Row i's
+    # strong neighbours are cols[b[i]:b[i+1]] in column order; an array.array
+    # makes Python ints only of the slices the sequential phases read
+    counts = np.diff(indptr)
+    bound = np.repeat((theta * theta) * d, counts)
+    bound *= d[indices]
+    mask = np.square(data) >= bound
+    mask &= indices != np.repeat(np.arange(n, dtype=indices.dtype), counts)
+    strong = np.flatnonzero(mask)
+    b_arr = np.concatenate(([0], np.cumsum(mask)))[indptr]
+    cols = array.array(indices.dtype.char, indices[strong].tobytes())
+    b = b_arr.tolist()
 
     assignment = [-1] * n
     n_agg = 0
@@ -178,34 +187,47 @@ def aggregate(A, theta=DEFAULT_THETA):
         if assignment[i] != -1:
             continue
         nbrs = cols[b[i]:b[i + 1]]
-        if all(assignment[j] == -1 for j in nbrs):
+        for j in nbrs:
+            if assignment[j] != -1:
+                break
+        else:
             assignment[i] = n_agg
             for j in nbrs:
                 assignment[j] = n_agg
             n_agg += 1
-    for i in range(n):
-        if assignment[i] != -1:
-            continue
-        best, best_val = -1, -1.0
-        for j, v in zip(cols[b[i]:b[i + 1]], vals[b[i]:b[i + 1]]):
-            a = assignment[j]
-            if a != -1 and v > best_val:
-                best_val = v
-                best = a
-        if best != -1:
-            assignment[i] = best
-    for i in range(n):
-        if assignment[i] == -1:
-            assignment[i] = n_agg
-            n_agg += 1
-    return Aggregation(np.array(assignment, dtype=np.int64), n_agg)
+    result = np.array(assignment, dtype=np.int64)
+
+    # each leftover row's strong neighbours, strongest first; the stable
+    # sort keeps column order among equals, so the first one already in an
+    # aggregate is the strongest coupling, ties going to the earlier one
+    rows = np.flatnonzero(result < 0)
+    starts = b_arr[rows]
+    lens = b_arr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    pos = np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)
+    order = np.lexsort((-np.abs(data[strong[pos]]),
+                        np.repeat(np.arange(rows.size), lens)))
+    ranked = indices[strong[pos[order]]].tolist()
+    left = rows.tolist()
+    for i, s, t in zip(left, (ends - lens).tolist(), ends.tolist()):
+        for j in ranked[s:t]:
+            if assignment[j] != -1:
+                assignment[i] = assignment[j]
+                break
+    result[rows] = [assignment[i] for i in left]
+    return Aggregation(result, n_agg)
 
 
 def piecewise_constant_prolongator(agg, n_fine):
-    """0/1 prolongator: row i has a single 1 in column agg.assignment[i]."""
-    return as_csr(sp.csr_matrix(
-        (np.ones(n_fine), (np.arange(n_fine), agg.assignment)),
-        shape=(n_fine, agg.n_aggregates)))
+    """0/1 prolongator: row i has a single 1 in column agg.assignment[i],
+    written directly in canonical CSR (row i's one entry is entry i)."""
+    ids = agg.assignment
+    if ids.size and (ids.min() < 0 or ids.max() >= agg.n_aggregates):
+        raise ValueError("aggregate ids must lie in 0..%d" % (agg.n_aggregates - 1))
+    P = sp.csr_matrix((np.ones(n_fine), ids, np.arange(n_fine + 1)),
+                      shape=(n_fine, agg.n_aggregates))
+    P.has_canonical_format = True
+    return P
 
 
 def build_ua_amg(A_fine, theta=DEFAULT_THETA, min_coarse=DEFAULT_MIN_COARSE,

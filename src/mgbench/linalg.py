@@ -16,11 +16,16 @@ class NonSPDError(ValueError):
 
 
 def as_csr(A):
-    """Return A as a canonical CSR matrix (sorted indices, no duplicates)."""
-    A = sp.csr_matrix(A)
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+    """Return A as a canonical CSR matrix (sorted indices, no duplicates).
+
+    A CSR input shares its arrays with the result, so a non-canonical one is
+    copied first and the caller's matrix is left as it was."""
+    B = sp.csr_matrix(A)
+    if not B.has_canonical_format:
+        if sp.issparse(A) and A.format == "csr":
+            B = B.copy()
+        B.sum_duplicates()
+    return B
 
 
 def symmetry_error(A):

@@ -90,8 +90,8 @@ class CoefficientField:
 
 
 def _assemble(mesh, coefficient):
-    """Stiffness matrix over interior nodes and the f=1 load vector, summed
-    node by node from the triangles' coefficients times _K_LOWER/_K_UPPER."""
+    """Stiffness matrix over interior nodes, summed node by node from the
+    triangles' coefficients times _K_LOWER/_K_UPPER."""
     m = mesh.cells_per_side
     h = mesh.h
     N = mesh.nodes_per_side
@@ -128,20 +128,29 @@ def _assemble(mesh, coefficient):
     cols = (np.arange(n, dtype=np.int32).reshape(N, N, 1)
             + np.array([-N, -1, 0, 1, N], dtype=np.int32))
     indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=2)))).astype(np.int32)
-    A = sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
 
+
+def load_vector(problem, k):
+    """Right-hand side of a model problem at level k: the f = 1 load of
+    'poisson' (which 'ua_poisson' solves too), the zero load of 'jump'."""
+    if problem not in ("poisson", "ua_poisson", "jump"):
+        raise ValueError("unknown problem %r" % problem)
+    mesh = MeshLevel(k)
+    if problem == "jump":
+        return np.zeros(mesh.n_interior)
     # each of a node's six triangles (area h^2/2) gives it a third of its
     # area; added one at a time, as an element-by-element sum does
     load = 0.0
     for _ in range(6):
-        load += (h * h / 2.0) / 3.0
-    return A, np.full(n, load)
+        load += (mesh.h * mesh.h / 2.0) / 3.0
+    return np.full(mesh.n_interior, load)
 
 
 def assemble_poisson(k):
     """Poisson stiffness matrix and f=1 load vector at level k."""
-    A, load = _assemble(MeshLevel(k), CoefficientField("constant"))
-    return A, load
+    A = _assemble(MeshLevel(k), CoefficientField("constant"))
+    return A, load_vector("poisson", k)
 
 
 def assemble_jump(k, low=1e-6):
@@ -153,5 +162,5 @@ def assemble_jump(k, low=1e-6):
     if k < 2:
         raise ValueError("jump problem needs k >= 2 "
                          "(coefficient regions not resolvable at k=%d)" % k)
-    A, _ = _assemble(MeshLevel(k), CoefficientField("jump", low_value=low))
-    return A, np.zeros(A.shape[0])
+    A = _assemble(MeshLevel(k), CoefficientField("jump", low_value=low))
+    return A, load_vector("jump", k)

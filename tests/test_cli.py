@@ -3,11 +3,16 @@ import sys
 
 import pytest
 
+import numpy as np
+
 import mgbench.amli
 import mgbench.cli
-from mgbench import DENSE_LIMIT, PCGBreakdownError, SolveReport
-from mgbench.cli import (build_parser, emit_table, main, parse_int_list,
-                         parse_truncation, run_experiment, size_to_level)
+import mgbench.problems
+from mgbench import (DENSE_LIMIT, PCGBreakdownError, SolveReport, assemble_jump,
+                     assemble_poisson)
+from mgbench.cli import (build_parser, build_problem, emit_table, main,
+                         parse_int_list, parse_truncation, run_experiment,
+                         size_to_level)
 
 
 def run_cli(args, capsys):
@@ -138,6 +143,23 @@ def test_parsed_defaults(monkeypatch, capsys):
     main(["hierarchy"])
     main(["hierarchy", "--problem", "ua_poisson"])
     assert built == [("poisson", 5), ("ua_poisson", 6)]
+
+
+@pytest.mark.parametrize("problem, k", [("poisson", 4), ("jump", 4),
+                                        ("ua_poisson", 5)])
+def test_build_problem_assembles_the_finest_matrix_once(problem, k, monkeypatch):
+    calls = []
+    assemble = mgbench.problems._assemble
+    monkeypatch.setattr(mgbench.problems, "_assemble",
+                        lambda *args: calls.append(args) or assemble(*args))
+    A, f, h = build_problem(problem, k)
+    assert len(calls) == 1
+    assert np.shares_memory(h.finest.A.data, A.data)
+    A_ref, f_ref = (assemble_jump if problem == "jump" else assemble_poisson)(k)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(A, name), getattr(A_ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert f.dtype == f_ref.dtype and np.array_equal(f, f_ref)
 
 
 def test_malformed_values_are_usage_errors(tmp_path, capsys):

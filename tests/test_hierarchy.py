@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from mgbench import (CoarseningStagnation, DENSE_LIMIT, NonSPDError, aggregate,
-                     as_csr, assemble_jump, assemble_poisson, a_norm,
+from mgbench import (Aggregation, CoarseningStagnation, DENSE_LIMIT, NonSPDError,
+                     aggregate, as_csr, assemble_jump, assemble_poisson, a_norm,
                      build_geometric, build_ua_amg, geometric_prolongator,
                      piecewise_constant_prolongator, rap, symmetry_error)
 
@@ -239,12 +240,14 @@ def loop_aggregate(A, theta=0.08):
     return assignment, n_agg
 
 
-def assert_aggregate_matches_loop(A):
-    agg = aggregate(A)
-    assignment, n_agg = loop_aggregate(A)
+def assert_aggregate_matches_loop(A, theta=0.08):
+    agg = aggregate(A, theta)
+    assignment, n_agg = loop_aggregate(A, theta)
     assert agg.n_aggregates == n_agg
     assert agg.assignment.dtype == assignment.dtype
     assert np.array_equal(agg.assignment, assignment)
+    # a partition: every node is covered and the ids are exactly 0..n_agg-1
+    assert np.array_equal(np.unique(agg.assignment), np.arange(n_agg))
 
 
 @pytest.mark.parametrize("assemble,k", [(assemble_poisson, k) for k in range(2, 9)]
@@ -253,10 +256,96 @@ def test_aggregate_matches_loop_reference(assemble, k):
     assert_aggregate_matches_loop(assemble(k)[0])
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.25, 0.5])
+@pytest.mark.parametrize("assemble,k", [(assemble_poisson, 5), (assemble_jump, 5),
+                                        (assemble_jump, 6)])
+def test_aggregate_matches_loop_reference_across_theta(assemble, k, theta):
+    assert_aggregate_matches_loop(assemble(k)[0], theta)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.08, 0.25])
+def test_aggregate_matches_loop_reference_on_permuted_poisson(theta):
+    A, _ = assemble_poisson(5)
+    perm = np.random.default_rng(5).permutation(A.shape[0])
+    assert_aggregate_matches_loop(as_csr(A[perm][:, perm]), theta)
+
+
 def test_aggregate_matches_loop_reference_on_ua_levels():
     h = build_ua_amg(assemble_poisson(8)[0])
     for lv in h.levels:
         assert_aggregate_matches_loop(lv.A)
+
+
+@st.composite
+def graph_laplacians(draw):
+    """Weighted graph Laplacian plus a diagonal shift, on a grid graph with
+    some edges dropped (isolated nodes become singletons), a few random
+    edges added and the nodes renumbered.  Half the graphs take unit
+    weights and one shift, so that couplings tie; the rows are sometimes
+    scaled, which makes the strength graph unsymmetric."""
+    nx, ny = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    n = nx * ny
+    ties = draw(st.booleans())
+    weight = st.just(1.0) if ties else st.floats(0.01, 10.0)
+    grid = ([(i, i + 1) for i in range(n) if (i + 1) % nx]
+            + [(i, i + nx) for i in range(n - nx)])
+    kept = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    edges = [(i, j, draw(weight)) for (i, j), keep in zip(grid, kept) if keep]
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node, weight), max_size=n // 4))
+    perm = draw(st.permutations(range(n)))
+    W = np.zeros((n, n))
+    for i, j, w in edges:
+        if i != j:
+            W[perm[i], perm[j]] += w
+            W[perm[j], perm[i]] += w
+    shift = draw(st.lists(st.floats(0.01, 5.0), min_size=1 if ties else n,
+                          max_size=1 if ties else n))
+    A = np.diag(W.sum(axis=1) + shift) - W
+    if draw(st.booleans()):
+        A *= np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=n,
+                                    max_size=n)))[:, None]
+    return as_csr(sp.csr_matrix(A))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(A=graph_laplacians(), theta=st.sampled_from([0.0, 0.08, 0.25, 0.5]))
+def test_aggregate_matches_loop_reference_on_generated_graphs(A, theta):
+    assert_aggregate_matches_loop(A, theta)
+
+
+def noncanonical_copy(A):
+    """A as a CSR matrix with every row's entries in reverse column order
+    and its diagonal split into two equal halves: unsorted, with duplicates."""
+    indptr, indices, data = [0], [], []
+    for i in range(A.shape[0]):
+        span = slice(A.indptr[i], A.indptr[i + 1])
+        for j, v in zip(A.indices[span][::-1], A.data[span][::-1]):
+            parts = [v / 2, v / 2] if j == i else [v]
+            indices += [j] * len(parts)
+            data += parts
+        indptr.append(len(indices))
+    B = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32),
+                       np.array(indptr, dtype=np.int32)), shape=A.shape)
+    assert not B.has_canonical_format
+    return B
+
+
+def test_aggregation_leaves_a_noncanonical_input_unchanged():
+    N = noncanonical_copy(assemble_poisson(5)[0])
+    before = [a.copy() for a in (N.indptr, N.indices, N.data)]
+    canonical = as_csr(N.copy())
+    agg, ref = aggregate(N), aggregate(canonical)
+    assert agg.n_aggregates == ref.n_aggregates
+    assert np.array_equal(agg.assignment, ref.assignment)
+    h, h_ref = build_ua_amg(N), build_ua_amg(canonical)
+    assert h.n_levels == h_ref.n_levels
+    for lv, lv_ref in zip(h.levels, h_ref.levels):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(lv.A, name), getattr(lv_ref.A, name))
+    assert N.nnz == before[1].size
+    for got, want in zip((N.indptr, N.indices, N.data), before):
+        assert np.array_equal(got, want)
 
 
 def test_piecewise_constant_prolongator_properties():
@@ -267,6 +356,38 @@ def test_piecewise_constant_prolongator_properties():
     assert np.all(P.data == 1.0)
     col_sums = np.asarray(P.sum(axis=0)).ravel()
     assert np.array_equal(col_sums, np.bincount(agg.assignment))
+
+
+def coo_prolongator(agg, n_fine):
+    """COO-built reference for piecewise_constant_prolongator."""
+    return as_csr(sp.csr_matrix(
+        (np.ones(n_fine), (np.arange(n_fine), agg.assignment)),
+        shape=(n_fine, agg.n_aggregates)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: aggregate(assemble_poisson(6)[0]),
+    lambda: aggregate(assemble_jump(5)[0], theta=0.25),
+    lambda: aggregate(assemble_poisson(4)[0], theta=0.5),   # all singletons
+    lambda: aggregate(sp.diags(np.arange(1.0, 4.0)).tocsr()),
+    lambda: Aggregation(np.array([2, 0, 0, 1, 2, 3], dtype=np.int64), 4),
+], ids=["poisson", "jump", "singletons", "diagonal", "by_hand"])
+def test_piecewise_constant_prolongator_matches_coo_reference(make):
+    agg = make()
+    n = agg.assignment.size
+    P, ref = piecewise_constant_prolongator(agg, n), coo_prolongator(agg, n)
+    assert P.format == ref.format == "csr"
+    assert P.shape == ref.shape
+    assert P.has_canonical_format and ref.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(P, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ids", [[0, 2, 1], [0, -1, 1]])
+def test_piecewise_constant_prolongator_rejects_out_of_range_ids(ids):
+    with pytest.raises(ValueError, match="aggregate ids"):
+        piecewise_constant_prolongator(Aggregation(np.array(ids), 2), 3)
 
 
 def test_zero_row_sums_survive_aggregation_coarsening():

@@ -262,3 +262,22 @@ def test_spectral_radius_poisson_vs_dense_eig():
 def test_symmetry_flag_tolerance():
     A, _ = assemble_poisson(3)
     assert symmetry_error(A) <= 1e-14 * np.abs(A.data).max()
+
+
+def test_as_csr_copies_a_noncanonical_csr_input():
+    # row 0 unsorted, row 1 holds a duplicate (1, 1)
+    A = sp.csr_matrix((np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
+                       np.array([1, 0, 0, 1, 1]), np.array([0, 2, 5])), shape=(2, 2))
+    B = as_csr(A)
+    assert B.has_canonical_format
+    assert np.array_equal(B.toarray(), [[2.0, 1.0], [3.0, 9.0]])
+    assert A.nnz == 5
+    assert np.array_equal(A.indices, [1, 0, 0, 1, 1])
+    assert np.array_equal(A.data, [1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+def test_as_csr_shares_a_canonical_csr_input():
+    A, _ = assemble_poisson(3)
+    B = as_csr(A)
+    assert np.shares_memory(B.data, A.data)
+    assert np.shares_memory(B.indices, A.indices)
