@@ -4,8 +4,9 @@ A Hierarchy stores levels coarsest-first; level(k) with k = 1..n_levels
 follows that order (1 is coarsest).  Prolongators sit on the coarse level
 they interpolate from (P_to_finer), restriction is always the transpose,
 formed once per level (Level.R).
-All coarse operators are Galerkin products of the finest matrix.  Each
-product is exactly symmetric by construction, so a builder checks the
+A geometric hierarchy assembles every level on its own mesh; the UA-AMG
+coarse operators are Galerkin products of the finest matrix.  Assembly and
+each product are exactly symmetric by construction, so a builder checks the
 symmetry of the finest matrix at most once and never that of a coarse one.
 """
 import array
@@ -71,43 +72,49 @@ class Hierarchy:
         return "\n".join(lines)
 
 
-# (dx, dy, weight) of a coarse node's fine neighbours: the node itself and
-# the midpoints of its horizontal, vertical and lower-left/upper-right edges
-_P_STENCIL = ((0, 0, 1.0),
-              (-1, 0, 0.5), (1, 0, 0.5),
-              (0, -1, 0.5), (0, 1, 0.5),
-              (-1, -1, 0.5), (1, 1, 0.5))
-
-
 def geometric_prolongator(k):
     """Linear-interpolation prolongator from mesh level k-1 into level k.
 
     Coincident coarse nodes get weight 1; fine nodes at the midpoints of
     coarse edges (horizontal, vertical, and the lower-left/upper-right
-    diagonal of each coarse cell) get 1/2 from each edge endpoint.
+    diagonal of each coarse cell) get 1/2 from each edge endpoint.  Written
+    directly in canonical CSR, at most two entries per fine row.
     """
     if k < 2:
         raise ValueError("prolongator needs k >= 2, got %d" % k)
     nc = 2 ** (k - 1) - 1
     nf = 2 ** k - 1
-    col = np.arange(nc * nc)
-    jc, ic = np.divmod(col, nc)
-    fx, fy = 2 * ic + 1, 2 * jc + 1    # 0-based fine coordinates of the coarse nodes
-    # an interior coarse node's edge midpoints are all interior fine nodes
-    rows = np.concatenate([(fy + dy) * nf + (fx + dx) for dx, dy, _ in _P_STENCIL])
-    cols = np.tile(col, len(_P_STENCIL))
-    vals = np.repeat([v for _, _, v in _P_STENCIL], nc * nc)
-    return as_csr(sp.csr_matrix((vals, (rows, cols)), shape=(nf * nf, nc * nc)))
+    # coarse columns, padded with -1 for the boundary nodes, which have none
+    padded = np.full((nc + 2, nc + 2), -1, dtype=np.int32)
+    padded[1:-1, 1:-1] = np.arange(nc * nc, dtype=np.int32).reshape(nc, nc)
+    # a fine row's entries are its lower-left and upper-right coarse
+    # neighbours: fine coordinate x lies between coarse (x-1)//2 and x//2
+    # (padded one higher), one node when x is odd
+    x = np.arange(nf)
+    lo, hi = (x + 1) // 2, x // 2 + 1
+    cols = np.stack((padded[np.ix_(lo, lo)], padded[np.ix_(hi, hi)]), axis=2)
+    keep = cols >= 0
+    keep[1::2, 1::2, 1] = False
+    indptr = np.zeros(nf * nf + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(keep, dtype=np.int32)[1::2]
+    # weight 1/2 on edge midpoints, 1 on the odd/odd rows' single entry
+    vals = np.full(indptr[-1], 0.5)
+    vals[indptr[:-1].reshape(nf, nf)[1::2, 1::2]] = 1.0
+    P = sp.csr_matrix((vals, cols[keep], indptr), shape=(nf * nf, nc * nc))
+    P.has_canonical_format = True
+    return P
 
 
 def build_geometric(problem, k_max, smoother=None):
     """Nested geometric hierarchy for 'poisson' or 'jump' up to mesh level k_max.
 
-    The finest matrix is assembled directly and is symmetric by
-    construction (each coupling is written into both of its entries), so
-    it is not checked; coarse operators are Galerkin products through the
-    geometric prolongators (identical to direct coarse assembly wherever
-    the latter is defined).  The jump hierarchy stops at mesh level 2: the
+    Every level is the stiffness matrix assembled on its own mesh, and
+    level k carries geometric_prolongator(k + 1).  Assembly writes each
+    coupling into both of its entries, so no level needs a symmetry check.
+    The coefficient is constant on every element of the coarsest mesh used
+    (the jump regions have corners at multiples of 1/4), so each level
+    equals the Galerkin product P^t A P of the finer one up to round-off:
+    bit for bit for Poisson.  The jump hierarchy stops at mesh level 2: the
     single level-1 node cannot represent the coefficient regions, which
     stalls the island near-kernel modes.
     """
@@ -118,22 +125,13 @@ def build_geometric(problem, k_max, smoother=None):
     if not 2 <= k_max <= MAX_LEVEL:
         raise ValueError("need 2 <= k_max <= %d, got %d" % (MAX_LEVEL, k_max))
 
-    A, _ = assemble_poisson(k_max) if problem == "poisson" else assemble_jump(k_max)
+    assemble = assemble_poisson if problem == "poisson" else assemble_jump
     mesh_levels = list(range(1 if problem == "poisson" else 2, k_max + 1))
-    matrices = {k_max: A}
-    prolongators = {}
-    Ak = A
-    for k in range(k_max, mesh_levels[0], -1):
-        P = geometric_prolongator(k)
-        prolongators[k - 1] = P
-        Ak = _galerkin(P, Ak)
-        matrices[k - 1] = Ak
-
     levels = []
     for k in mesh_levels:
-        lv = Level(A=matrices[k], P_to_finer=prolongators.get(k))
-        lv.smoother = bind(lv.A, smoother)
-        levels.append(lv)
+        A, _ = assemble(k)
+        P = geometric_prolongator(k + 1) if k < k_max else None
+        levels.append(Level(A=A, P_to_finer=P, smoother=bind(A, smoother)))
     return Hierarchy(levels=levels,
                      coarsest_solver=DenseFactorization(levels[0].A),
                      mesh_levels=mesh_levels)
@@ -163,9 +161,9 @@ def aggregate(A, theta=DEFAULT_THETA):
         raise ValueError("theta must lie in [0, 1), got %g" % theta)
     n = A.shape[0]
     d = A.diagonal()
-    if np.any(d <= 0.0):
-        raise ValueError("non-positive diagonal entry at index %d"
-                         % int(np.argmax(d <= 0.0)))
+    if not np.all(d > 0.0):     # a NaN fails d > 0 too
+        raise ValueError("non-positive or NaN diagonal entry at index %d"
+                         % int(np.argmin(d > 0.0)))
     indptr, indices, data = A.indptr, A.indices, A.data
 
     # strong: off the diagonal and A_ij^2 >= (theta^2 A_ii) A_jj.  Row i's

@@ -110,9 +110,10 @@ def rap(P, A):
 
 
 def _galerkin(P, A):
-    """rap without its checks, for the hierarchy builders: they check the
-    finest matrix at most once, and every coarser one is an output of this
-    function, which fl(a + b) = fl(b + a) makes exactly symmetric."""
+    """rap without its checks, for build_ua_amg's coarsenings after the
+    first: the finest matrix is checked once, in that first rap, and every
+    coarser one is an output of this function, which fl(a + b) = fl(b + a)
+    makes exactly symmetric."""
     B = P.T @ A @ P
     # sparse matmul rounds the two triangles differently; average them back
     B = (B + B.T) * 0.5

@@ -78,6 +78,33 @@ def test_geometric_prolongator_matches_loop_reference(k):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def coo_geometric_prolongator(k):
+    """COO-built reference for geometric_prolongator: every coarse node's
+    seven-point stencil as triplets, converted to canonical CSR."""
+    nc = 2 ** (k - 1) - 1
+    nf = 2 ** k - 1
+    stencil = ((0, 0, 1.0), (-1, 0, 0.5), (1, 0, 0.5), (0, -1, 0.5),
+               (0, 1, 0.5), (-1, -1, 0.5), (1, 1, 0.5))
+    col = np.arange(nc * nc)
+    jc, ic = np.divmod(col, nc)
+    fx, fy = 2 * ic + 1, 2 * jc + 1
+    rows = np.concatenate([(fy + dy) * nf + (fx + dx) for dx, dy, _ in stencil])
+    cols = np.tile(col, len(stencil))
+    vals = np.repeat([v for _, _, v in stencil], nc * nc)
+    return as_csr(sp.csr_matrix((vals, (rows, cols)), shape=(nf * nf, nc * nc)))
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_geometric_prolongator_matches_coo_reference(k):
+    P, ref = geometric_prolongator(k), coo_geometric_prolongator(k)
+    assert P.format == ref.format == "csr"
+    assert P.shape == ref.shape
+    assert P.has_canonical_format and ref.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(P, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_prolongator_k2_shape_and_values():
     P = geometric_prolongator(2)
     assert P.shape == (9, 1)
@@ -141,6 +168,27 @@ def test_build_geometric_levels_are_galerkin_consistent():
         assert (diff.max() if diff.nnz else 0.0) <= 1e-12
 
 
+@pytest.mark.parametrize("problem, k_max", [("poisson", 9), ("jump", 7)])
+def test_geometric_levels_equal_galerkin_products(problem, k_max):
+    # each level is assembled on its own mesh; the coefficient is constant
+    # on every coarse element, so that is the Galerkin product of the finer
+    # level: bit for bit for Poisson, to round-off for the jump coefficient,
+    # whose products also store round-off SW-NE entries the stencil lacks
+    h = build_geometric(problem, k_max)
+    for k in range(1, h.n_levels):
+        A, A_fine = h.level(k).A, h.level(k + 1).A
+        G = rap(h.level(k).P_to_finer, A_fine)
+        if problem == "poisson":
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(A, name), getattr(G, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        else:
+            n_side = 2 ** h.mesh_levels[k - 1] - 1
+            assert A.nnz == 5 * n_side ** 2 - 4 * n_side
+            gap = abs(A - G)
+            assert gap.max() <= 1e-13 * abs(A).max()
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_geometric("poisson", 6),
     lambda: build_geometric("jump", 6),
@@ -193,6 +241,17 @@ def test_aggregate_rejects_bad_input():
     A, _ = assemble_poisson(2)
     with pytest.raises(ValueError, match="theta"):
         aggregate(A, theta=1.5)
+
+
+def test_nan_diagonal_is_rejected_by_index():
+    # d <= 0 is False for a NaN, which would leave the node a singleton
+    A = assemble_poisson(3)[0].tolil()
+    A[24, 24] = np.nan
+    A = A.tocsr()
+    with pytest.raises(ValueError, match="diagonal entry at index 24$"):
+        aggregate(A)
+    with pytest.raises(ValueError, match="diagonal entry at index 24$"):
+        build_ua_amg(A, min_coarse=2)
 
 
 def loop_aggregate(A, theta=0.08):
