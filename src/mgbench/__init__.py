@@ -9,7 +9,7 @@ from .hierarchy import (Aggregation, CoarseningStagnation, Hierarchy, Level,
                         aggregate, build_geometric, build_ua_amg,
                         geometric_prolongator, piecewise_constant_prolongator)
 from .linalg import (DENSE_LIMIT, DenseFactorization, NonSPDError, a_norm,
-                     as_csr, inner, power_method, rap, spectral_radius, spmv,
+                     as_csr, power_method, rap, spectral_radius, spmv,
                      symmetry_error)
 from .problems import (CoefficientField, MeshLevel, assemble_jump,
                        assemble_poisson)

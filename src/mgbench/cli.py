@@ -18,11 +18,12 @@ import numpy as np
 from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
     apply_amli_tilde_ns, apply_backslash, apply_v_cycle, stationary_solve
 from .hierarchy import DEFAULT_MAX_LEVELS, DEFAULT_MIN_COARSE, DEFAULT_THETA, \
-    build_geometric, build_ua_amg
+    build_geometric, build_ua_amg, require_coarsening
 from .linalg import DENSE_LIMIT
 from .problems import MAX_LEVEL, assemble_poisson, load_vector
 from .smoothers import SmootherSpec
-from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, rng_for, run_suite
+from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, require_samples, rng_for, \
+    run_suite
 
 # token -> (column label, cycle function, takes inner PCG steps)
 CYCLES = {
@@ -194,7 +195,6 @@ def emit_table(rows, col_labels, fmt, max_iter, row_header="k"):
 
 def _add_common(p, handler):
     p.add_argument("--config", default=None, help="key = value config file")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     # main re-parses with the file's values as defaults of this parser, and
     # commands report usage errors through it
     p.set_defaults(handler=handler, parser=p)
@@ -219,6 +219,7 @@ def build_parser():
     run = sub.add_parser("run", help="solve experiment tables")
     _add_common(run, cmd_run)
     _add_problem(run)
+    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
     run.add_argument("--cycle", type=parse_cycles, default="v,amli,amli-tilde",
                      help="comma list of " + "|".join(CYCLES))
     run.add_argument("--npcg", type=parse_int_list, default="1,2",
@@ -235,7 +236,7 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="run theory checks, CSV per check")
     _add_common(ver, cmd_verify)
-    ver.add_argument("--suite", choices=["all"], default="all")
+    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ver.add_argument("--levels", type=parse_int_list, default="2..5",
                      help="e.g. 2..5; at most 7 (dense coarse projector)")
     ver.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
@@ -254,10 +255,7 @@ def row_levels(args, default, ua_default):
     levels = args.levels if args.levels is not None else \
         (ua_default if ua else default)
     if ua and args.size is not None:
-        try:
-            levels = [size_to_level(s) for s in args.size]
-        except ValueError as exc:
-            args.parser.error(str(exc))
+        levels = [_usage(args, size_to_level, s) for s in args.size]
     lowest = 1 if ua else 2
     for k in levels:
         if not lowest <= k <= MAX_LEVEL:
@@ -266,9 +264,21 @@ def row_levels(args, default, ua_default):
     return levels
 
 
+def _usage(args, check, *values):
+    """check(*values), with a ValueError reported as a usage error (exit 2)."""
+    try:
+        return check(*values)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def cmd_run(args):
     # ua_poisson default: sizes 3969, 16129, 65025
     levels = row_levels(args, [5, 6, 7, 8, 9], [6, 7, 8])
+    # the settings run_experiment builds, built once first to check them
+    _usage(args, SmootherSpec, args.smoother, args.weight, args.sweeps)
+    _usage(args, _columns, args.cycle, args.npcg, args.truncate)
+    _usage(args, require_coarsening, args.theta, args.min_coarse)
     config = dict(vars(args), truncation=args.truncate, cycles=args.cycle)
     if args.problem == "ua_poisson":
         config["sizes"] = [(2 ** k - 1) ** 2 for k in levels]
@@ -284,6 +294,7 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
+    _usage(args, require_samples, args.samples)
     for k in args.levels:
         # the coarse projector at level k factors the level-(k-1) operator densely
         n_coarse = (2 ** (k - 1) - 1) ** 2
@@ -301,6 +312,7 @@ def cmd_verify(args):
 
 def cmd_hierarchy(args):
     k = row_levels(args, [5], [6])[0]
+    _usage(args, require_coarsening, args.theta, args.min_coarse)
     _, _, h = build_problem(args.problem, k, None, args.theta,
                             args.min_coarse, args.max_levels)
     print(h.report())

@@ -29,6 +29,14 @@ class CoarseningStagnation(RuntimeError):
     pass
 
 
+def require_coarsening(theta, min_coarse=1):
+    """Raise ValueError unless 0 <= theta < 1 and min_coarse >= 1."""
+    if not 0.0 <= theta < 1.0:
+        raise ValueError("theta must lie in [0, 1), got %g" % theta)
+    if min_coarse < 1:
+        raise ValueError("min_coarse must be >= 1, got %d" % min_coarse)
+
+
 @dataclass
 class Level:
     A: object
@@ -156,9 +164,8 @@ def aggregate(A, theta=DEFAULT_THETA):
     passes over a node only when one of its strong neighbors is already
     aggregated, and phase 2 then attaches it.
     """
+    require_coarsening(theta)
     A = as_csr(A)
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("theta must lie in [0, 1), got %g" % theta)
     n = A.shape[0]
     d = A.diagonal()
     if not np.all(d > 0.0):     # a NaN fails d > 0 too
@@ -235,8 +242,10 @@ def build_ua_amg(A_fine, theta=DEFAULT_THETA, min_coarse=DEFAULT_MIN_COARSE,
     Coarsening repeats until the dimension drops to min_coarse or max_levels
     is reached; two consecutive aggregations that fail to reduce the
     dimension raise CoarseningStagnation.  The first coarsening is rap,
-    which checks A_fine (NonSPDError if it is not symmetric).
+    which checks A_fine (NonSPDError if it is not symmetric).  theta and
+    min_coarse are checked first (require_coarsening).
     """
+    require_coarsening(theta, min_coarse)
     if smoother is None:
         smoother = SmootherSpec()
     A_fine = as_csr(A_fine)

@@ -72,20 +72,10 @@ def spmv(A, x):
     return y
 
 
-def inner(x, y):
-    """Euclidean inner product."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("dimension mismatch: vectors have lengths %d and %d"
-                         % (x.shape[0], y.shape[0]))
-    return float(np.dot(x, y))
-
-
 def a_norm(A, x):
     """Energy norm sqrt((A x, x)); negative quadratic form raises NonSPDError."""
-    q = inner(spmv(A, x), x)
-    if q < -1e-12 * inner(x, x):
+    q = float(np.dot(spmv(A, x), x))
+    if q < -1e-12 * float(np.dot(x, x)):
         raise NonSPDError("(Ax, x) = %.3e < 0: operator is not SPD" % q)
     return float(np.sqrt(max(q, 0.0)))
 

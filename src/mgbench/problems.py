@@ -54,12 +54,6 @@ class MeshLevel:
     def n_interior(self):
         return self.nodes_per_side ** 2
 
-    def interior_coords(self):
-        """(x, y) coordinates of interior nodes in lexicographic order."""
-        s = np.arange(1, self.cells_per_side) * self.h
-        X, Y = np.meshgrid(s, s, indexing="xy")
-        return X.ravel(), Y.ravel()
-
 
 @dataclass(frozen=True)
 class CoefficientField:

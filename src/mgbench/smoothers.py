@@ -68,6 +68,10 @@ class SmootherSpec:
                              % self.kind)
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1, got %d" % self.sweeps)
+        # Richardson scales by omega/rho(A), so omega < 2 is omega/rho < 2/rho
+        if self.kind != "gs" and not 0.0 < self.weight < 2.0:
+            raise ValueError("%s weight must lie in (0, 2), got %g"
+                             % (self.kind, self.weight))
 
 
 def _unit_lower_csc(A, inv_d):
@@ -115,14 +119,8 @@ class BoundSmoother:
                                   n, 0, np.empty(0), np.empty(0, np.intc),
                                   np.zeros(n + 1, np.intc))
         elif spec.kind == "jacobi":
-            if not 0.0 < spec.weight < 2.0:
-                raise ValueError("Jacobi weight must lie in (0, 2), got %g"
-                                 % spec.weight)
             self._scale = spec.weight / d
         else:  # richardson
-            if not 0.0 < spec.weight < 2.0:
-                raise ValueError("Richardson weight must lie in (0, 2) so that "
-                                 "omega < 2/rho(A), got %g" % spec.weight)
             rho, _, _ = power_method(A)
             self._scale = spec.weight / rho
 

@@ -9,6 +9,7 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
     apply_amli_tilde_ns, apply_backslash, apply_v_cycle, required_n
@@ -59,26 +60,28 @@ def _coarse_projector(h, k):
     return project
 
 
-def _dense(op, n):
-    """Dense matrix of the linear map op on R^n: op applied to each unit vector."""
-    return np.column_stack([op(e) for e in np.eye(n)])
-
-
-def _projection_complement(h, k):
-    """Dense S = A(I - Pi), the A-symmetric form of the projection error."""
-    A = h.level(k).A.toarray()
+def _two_grid_model(h, k):
+    """Dense A, S = A(I - Pi) (symmetrized) and F = I - R A at level k, with
+    R the level's smoother.  Every dense quantity here is a pencil of them:
+    E = (I - R^t A)(I - Pi)(I - R A) is A-self-adjoint with A E = F^t S F."""
+    lv = h.level(k)
     project = _coarse_projector(h, k)
-    S = A @ _dense(lambda v: v - project(v), A.shape[0])
-    return A, (S + S.T) * 0.5
+    eye = np.eye(lv.A.shape[0])
+    A = lv.A.toarray()
+    S = A @ np.column_stack([e - project(e) for e in eye])
+    F = np.column_stack([e - lv.smoother.apply(lv.A @ e) for e in eye])
+    return A, (S + S.T) * 0.5, F
 
 
-def _pencil_maximizer(num, den):
-    """Eigenvector maximizing v^t num v / v^t den v (den regularized PSD)."""
-    import scipy.linalg as sla
-    n = den.shape[0]
-    reg = 1e-12 * max(np.trace(den) / n, 1e-300)
-    _w, vecs = sla.eigh(num, den + reg * np.eye(n))
-    return vecs[:, -1]
+def _pencil_top(num, den, semidefinite=False):
+    """Top eigenpair of num v = lambda den v, both symmetrized.  A semidefinite
+    den is shifted by 1e-12 trace(den)/n; any other den that is not positive
+    definite raises LinAlgError, a ValueError."""
+    den = (den + den.T) * 0.5
+    if semidefinite:
+        den = den + 1e-12 * max(np.trace(den) / len(den), 1e-300) * np.eye(len(den))
+    w, vecs = sla.eigh((num + num.T) * 0.5, den)
+    return float(w[-1]), vecs[:, -1]
 
 
 def check_approximation_constant(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
@@ -95,8 +98,8 @@ def check_approximation_constant(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEE
     rng = rng_for(seed, "approximation_constant_l%d" % k)
     pool = [rng.standard_normal(n) for _ in range(samples)]
     if n <= _CANDIDATE_LIMIT:
-        A, S = _projection_complement(h, k)
-        pool.append(_pencil_maximizer(S, A @ A))
+        A, S, _F = _two_grid_model(h, k)
+        pool.append(_pencil_top(S, A @ A, semidefinite=True)[1])
     c1 = 0.0
     for v in pool:
         num = a_norm(lv.A, v - project(v)) ** 2
@@ -123,11 +126,9 @@ def check_smoothed_projection_bound(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_
     rng = rng_for(seed, "smoothed_projection_l%d" % k)
     pool = [rng.standard_normal(n) for _ in range(samples)]
     if n <= _CANDIDATE_LIMIT:
-        A, S = _projection_complement(h, k)
-        F = _dense(lambda v: v - lv.smoother.apply(lv.A @ v), n)
-        num = F.T @ S @ F
-        den = A - F.T @ A @ F
-        pool.append(_pencil_maximizer((num + num.T) * 0.5, (den + den.T) * 0.5))
+        A, S, F = _two_grid_model(h, k)
+        pool.append(_pencil_top(F.T @ S @ F, A - F.T @ A @ F,
+                                semidefinite=True)[1])
     eta = 0.0
     used = 0
     for v in pool:
@@ -202,23 +203,11 @@ def check_error_representation(h, k, params=None, samples=20, seed=DEFAULT_SEED)
 
 
 def check_two_grid_factor(h, k):
-    """A-norm of the symmetric two-grid error propagator at level k (dense)."""
-    lv = h.level(k)
-    A = lv.A.toarray()
-    project = _coarse_projector(h, k)
-
-    def two_grid_error(v):
-        w = v - lv.smoother.apply(lv.A @ v)
-        w = w - project(w)
-        return w - lv.smoother.apply_transpose(lv.A @ w)
-
-    E = _dense(two_grid_error, A.shape[0])
-    evals, vecs = np.linalg.eigh(A)
-    if evals.min() <= 0.0:
-        raise ValueError("two-grid operator needs an SPD level matrix")
-    root = vecs @ np.diag(np.sqrt(evals)) @ vecs.T
-    inv_root = vecs @ np.diag(1.0 / np.sqrt(evals)) @ vecs.T
-    return float(np.linalg.norm(root @ E @ inv_root, 2))
+    """A-norm of the symmetric two-grid error propagator E at level k (dense):
+    E is A-self-adjoint and A-semidefinite, so ||E||_A is the top eigenvalue
+    of the pencil (A E, A) = (F^t S F, A).  A non-SPD level raises ValueError."""
+    A, S, F = _two_grid_model(h, k)
+    return _pencil_top(F.T @ S @ F, A)[0]
 
 
 def check_comparison_suite(h, params=None, samples=DEFAULT_SAMPLES,
@@ -303,11 +292,18 @@ def check_comparison_suite(h, params=None, samples=DEFAULT_SAMPLES,
         violation=violation, tolerance=1.0, samples=total)
 
 
+def require_samples(samples):
+    """Raise ValueError unless samples >= 1, run_suite's rule."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %d" % samples)
+
+
 def run_suite(h, levels, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     """The `mgbench verify` suite on hierarchy h, one report per CSV row:
     per hierarchy index k in `levels` (1 = coarsest, k < 2 skipped) c1, eta,
     the error representation at k <= 3 and the dense two-grid factor at
     k <= 5; then the comparison chains with n = 1 and 2 over all levels."""
+    require_samples(samples)
     reports = []
     for k in levels:
         if k < 2:

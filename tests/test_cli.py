@@ -265,8 +265,8 @@ def test_hierarchy_subcommand(capsys):
 
 
 def test_verify_subcommand(capsys):
-    code, out = run_cli(["verify", "--suite", "all", "--levels", "2..3",
-                         "--samples", "10"], capsys)
+    code, out = run_cli(["verify", "--levels", "2..3", "--samples", "10"],
+                        capsys)
     lines = out.strip().splitlines()
     assert code == 0
     assert lines[0] == "name,passed,measured,tolerance,samples"
@@ -375,3 +375,31 @@ def test_hierarchy_has_no_report_flag(capsys):
         main(["hierarchy", "--help"])
     assert "--report" not in capsys.readouterr().out
     _usage_error(["hierarchy", "--report"], capsys)
+
+
+@pytest.mark.parametrize("command, named", [
+    ("run --npcg 0", "n_inner must be >= 1, got 0"),
+    ("run --truncate -1", "truncation must be"),
+    ("run --sweeps 0", "sweeps must be >= 1, got 0"),
+    ("run --smoother jacobi --weight 3", "jacobi weight must lie in (0, 2)"),
+    ("run --smoother richardson --weight 0", "richardson weight must lie"),
+    ("run --problem ua_poisson --min-coarse 0", "min_coarse must be >= 1"),
+    ("run --problem ua_poisson --size 3969 --theta 1.5", "theta must lie"),
+    ("run --problem ua_poisson --size 49 --theta 1.5", "theta must lie"),
+    ("hierarchy --problem ua_poisson --theta 1.5", "theta must lie"),
+    ("hierarchy --problem ua_poisson --min-coarse 0", "min_coarse must be"),
+    ("verify --samples 0 --levels 6", "samples must be >= 1, got 0"),
+    ("verify --samples -3", "samples must be >= 1, got -3"),
+])
+def test_bad_settings_are_usage_errors(command, named, monkeypatch, capsys):
+    """Each setting is checked by the library rule that owns it, before
+    anything is built, and reported as a usage error (exit 2)."""
+    _forbid_building(monkeypatch)
+    assert named in _usage_error(command.split(), capsys)
+
+
+@pytest.mark.parametrize("command", ["hierarchy --levels 3 --seed 5",
+                                     "verify --suite all"])
+def test_removed_flags_are_usage_errors(command, monkeypatch, capsys):
+    _forbid_building(monkeypatch)
+    assert "unrecognized arguments" in _usage_error(command.split(), capsys)

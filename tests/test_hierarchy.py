@@ -243,6 +243,18 @@ def test_aggregate_rejects_bad_input():
         aggregate(A, theta=1.5)
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"theta": 1.5}, "theta"), ({"theta": -0.1}, "theta"),
+    ({"min_coarse": 0}, "min_coarse"),
+])
+def test_build_ua_amg_checks_coarsening_at_entry(kwargs, named):
+    # 49 unknowns are below the default min_coarse, so no level would be
+    # aggregated: the settings are checked before any coarsening
+    A, _ = assemble_poisson(3)
+    with pytest.raises(ValueError, match=named):
+        build_ua_amg(A, **kwargs)
+
+
 def test_nan_diagonal_is_rejected_by_index():
     # d <= 0 is False for a NaN, which would leave the node a singleton
     A = assemble_poisson(3)[0].tolil()

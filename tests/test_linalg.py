@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from mgbench import (DenseFactorization, NonSPDError, a_norm, as_csr,
-                     assemble_poisson, inner, linalg, power_method, rap,
+                     assemble_poisson, linalg, power_method, rap,
                      spectral_radius, spmv, symmetry_error)
 
 RNG = np.random.default_rng(20240501)
@@ -137,19 +137,6 @@ def test_spmv_is_linear():
     assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
-def test_inner_basic():
-    assert inner(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-    assert inner(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 25.0
-    with pytest.raises(ValueError):
-        inner(np.zeros(2), np.zeros(3))
-
-
-def test_inner_symmetric():
-    rng = np.random.default_rng(1)
-    x, y = rng.standard_normal(50), rng.standard_normal(50)
-    assert inner(x, y) == pytest.approx(inner(y, x), rel=1e-15)
-
-
 def test_a_norm_zero_and_hand_value():
     assert a_norm(A22, np.zeros(2)) == 0.0
     assert a_norm(A22, np.array([1.0, 0.0])) == 2.0
@@ -168,7 +155,7 @@ def test_a_inner_positivity_random_spd():
     for _ in range(20):
         x = rng.standard_normal(30)
         q = a_norm(A, x) ** 2
-        assert q >= -1e-12 * inner(x, x) * rho
+        assert q >= -1e-12 * np.dot(x, x) * rho
         assert (a_norm(A, x) == 0.0) == (not x.any())
 
 

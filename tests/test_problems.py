@@ -199,9 +199,6 @@ def test_mesh_level_fields():
     assert m.cells_per_side == 8
     assert m.h == 0.125
     assert m.n_interior == 49
-    x, y = m.interior_coords()
-    assert x.shape == (49,)
-    assert x[0] == pytest.approx(0.125)
     with pytest.raises(ValueError):
         MeshLevel(0)
 

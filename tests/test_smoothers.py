@@ -139,10 +139,12 @@ def test_sweeps_compose_the_error_propagator():
 
 def test_validation_errors():
     A, _ = assemble_poisson(2)
+    # the weight range is the spec's own rule, checked before any binding
     with pytest.raises(ValueError, match="weight"):
-        bind(A, SmootherSpec("jacobi", weight=2.5))
+        SmootherSpec("jacobi", weight=2.5)
     with pytest.raises(ValueError, match="weight"):
-        bind(A, SmootherSpec("richardson", weight=-0.1))
+        SmootherSpec("richardson", weight=-0.1)
+    bind(A, SmootherSpec("gs", weight=2.5))     # Gauss-Seidel has no weight
     with pytest.raises(ValueError, match="kind"):
         SmootherSpec("sor")
     D = sp.diags([1.0, 0.0, 2.0]).tocsr()

@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mgbench.verify
-from mgbench import (CycleParams, SmootherSpec, assemble_poisson,
+from mgbench import (CycleParams, SmootherSpec, assemble_poisson, bind,
                      build_geometric, build_ua_amg, measure_smoothing_constant,
                      required_n)
 from mgbench.verify import (CheckReport, check_approximation_constant,
@@ -10,7 +13,7 @@ from mgbench.verify import (CheckReport, check_approximation_constant,
                             check_error_representation,
                             check_smoothed_projection_bound,
                             check_two_grid_factor, rng_for, run_suite,
-                            _coarse_projector, _projection_complement)
+                            _coarse_projector, _two_grid_model)
 
 
 @pytest.fixture(scope="module")
@@ -32,19 +35,86 @@ def test_projection_annihilates_coarse_vectors(h4):
     lambda: build_geometric("jump", 4),
     lambda: build_ua_amg(assemble_poisson(5)[0]),
 ], ids=["poisson4", "jump4", "ua961"])
-def test_projection_complement_matches_closed_form(build):
-    """S = A(I - Pi) built from the coarse projector equals the closed form
-    A - (A P) Ac^-1 (P^t A) on the finest level of each hierarchy family."""
+def test_two_grid_model_matches_closed_form(build):
+    """On the finest level of each hierarchy family, S = A(I - Pi) built
+    from the coarse projector equals the closed form A - (A P) Ac^-1 (P^t A),
+    and F is I - R A column by column."""
     h = build()
     k = h.n_levels
-    A = h.level(k).A.toarray()
+    lv = h.level(k)
+    A = lv.A.toarray()
     P = h.level(k - 1).P_to_finer.toarray()
     Ac = h.level(k - 1).A.toarray()
     reference = A - (A @ P) @ np.linalg.solve(Ac, P.T @ A)
     reference = (reference + reference.T) * 0.5
-    A_out, S = _projection_complement(h, k)
+    A_out, S, F = _two_grid_model(h, k)
     assert np.array_equal(A_out, A)
     assert np.linalg.norm(S - reference) <= 1e-12 * np.linalg.norm(reference)
+    for j, e in enumerate(np.eye(A.shape[0])):
+        column = e - lv.smoother.apply(lv.A @ e)
+        assert np.linalg.norm(F[:, j] - column) <= 1e-14 * np.linalg.norm(column)
+
+
+def sandwich_two_grid_factor(h, k):
+    """Reference ||E||_A = ||A^(1/2) E A^(-1/2)||_2, with the two-grid error
+    propagator E = (I - R^t A)(I - Pi)(I - R A) built column by column from
+    the smoother's apply and apply_transpose."""
+    lv = h.level(k)
+    A = lv.A.toarray()
+    project = _coarse_projector(h, k)
+
+    def two_grid_error(v):
+        w = v - lv.smoother.apply(lv.A @ v)
+        w = w - project(w)
+        return w - lv.smoother.apply_transpose(lv.A @ w)
+
+    E = np.column_stack([two_grid_error(e) for e in np.eye(A.shape[0])])
+    evals, vecs = np.linalg.eigh(A)
+    root = vecs @ np.diag(np.sqrt(evals)) @ vecs.T
+    inv_root = vecs @ np.diag(1.0 / np.sqrt(evals)) @ vecs.T
+    return float(np.linalg.norm(root @ E @ inv_root, 2))
+
+
+_SMOOTHERS = {"jacobi": SmootherSpec("jacobi", 0.7),
+              "gs2": SmootherSpec("gs", sweeps=2),
+              "richardson": SmootherSpec("richardson")}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_hierarchy(name):
+    """Hierarchy of the two-grid reference cases, built once per name."""
+    if name == "jump5":
+        return build_geometric("jump", 5)
+    if name == "ua961":
+        return build_ua_amg(assemble_poisson(5)[0])
+    if name in _SMOOTHERS:
+        return build_geometric("poisson", 4, smoother=_SMOOTHERS[name])
+    return build_geometric("poisson", int(name[len("poisson"):]))
+
+
+@pytest.mark.parametrize("name, k", [
+    ("poisson2", 2), ("poisson3", 3), ("poisson4", 4), ("poisson5", 5),
+    ("jump5", 2), ("jump5", 3), ("jump5", 4),
+    ("ua961", 2), ("ua961", 3),
+    ("jacobi", 4), ("gs2", 4), ("richardson", 4),
+])
+def test_two_grid_factor_matches_sandwich_reference(name, k):
+    """The pencil value of ||E||_A equals the A^(1/2) sandwich 2-norm."""
+    h = _reference_hierarchy(name)
+    reference = sandwich_two_grid_factor(h, k)
+    assert 0.0 < reference < 1.0
+    assert abs(check_two_grid_factor(h, k) - reference) <= 1e-12 * reference
+
+
+def test_two_grid_factor_rejects_non_spd_level():
+    """An indefinite level matrix (the Poisson matrix minus 7 I; its
+    spectrum lies in (0, 8)) raises ValueError."""
+    h = build_geometric("poisson", 3)
+    lv = h.level(3)
+    lv.A = (lv.A - 7.0 * sp.identity(lv.A.shape[0], format="csr")).tocsr()
+    lv.smoother = bind(lv.A, SmootherSpec())
+    with pytest.raises(ValueError):
+        check_two_grid_factor(h, 3)
 
 
 def test_run_suite_rows_and_order(monkeypatch):
@@ -89,6 +159,12 @@ def test_run_suite_rows_and_order(monkeypatch):
     assert two_grid.passed and two_grid.samples == 0
     assert two_grid.measured == {"delta_bar": 0.2,
                                  "required_n": float(required_n(0.2))}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_run_suite_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        run_suite(object(), [2], samples=samples)
 
 
 def test_c1_uniform_across_poisson_levels():
