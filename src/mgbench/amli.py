@@ -5,11 +5,12 @@ preconditioner and explicitly A-orthogonalizes each new search direction
 against stored ones: all of them (full version), a sliding window of the
 most recent m+1 (window m), or none (preconditioned steepest descent).
 
-Every cycle is one recursion, apply_cycle.  The linear \\- and V-cycles
-correct with the same cycle one level down; the AMLI cycles replace that
-coarse-grid solve by n_inner steps of this PCG, preconditioned by the
-coarser-level cycle.  Restriction is the prolongator transpose, which each
-level stores once (Level.R).
+Every cycle is one recursion: apply_cycle checks its level and vector once,
+and _visit recurses.  The linear \\- and V-cycles correct with the same
+cycle one level down; the AMLI cycles replace that coarse-grid solve by
+n_inner steps of this PCG, preconditioned by the coarser-level cycle.
+Restriction is the prolongator transpose, which each level stores once
+(Level.R).
 """
 import math
 from dataclasses import dataclass, field
@@ -76,47 +77,49 @@ def run_pcg(A, precond, f, params):
 
     The AMLI cycles call this thousands of times on small levels, so its own
     work is kept low.  Residuals are stored uncopied: r is only ever rebound,
-    never updated in place, and r_0 is a copy of f.  Inner products are
-    plain np.dot, and norms sqrt(r.r), as np.linalg.norm computes them.
+    never updated in place, and r_0 is a copy of f.  The first iterate is
+    alpha_0 p_0 itself rather than 0 + alpha_0 p_0, which can differ only in
+    the sign of an exact zero.  Inner products are x.dot(y), the kernel
+    np.dot ends in without np.dot's dispatch, and norms sqrt(r.r), as
+    np.linalg.norm computes them.  The state is built once, on return.
     """
     f = np.asarray(f, float)
     if f.shape[0] != A.shape[0]:
         raise ValueError("dimension mismatch: matrix is %d, right-hand side "
                          "has length %d" % (A.shape[0], f.shape[0]))
-    u = np.zeros_like(f)
     r = f.copy()
-    state = PcgState(iterate=u, residual=r, residuals=[r])
-    f_norm = math.sqrt(np.dot(r, r))
+    directions = []
+    residuals = [r]
+    f_norm = math.sqrt(r.dot(r))
     if f_norm == 0.0:
-        return state
+        return PcgState(np.zeros_like(f), r, directions, residuals)
 
     trunc = params.truncation
+    u = None
     for _ in range(params.n_inner):
         p = np.asarray(precond(r), float)
         if trunc == "full":
-            against = state.directions
+            against = directions
         elif trunc == "sd":
             against = ()
         else:
-            against = state.directions[-(trunc + 1):]
+            against = directions[-(trunc + 1):]
         if against:
             Ap0 = spmv(A, p)
             for pj, _apj, paj in against:
-                p = p - (float(np.dot(Ap0, pj)) / paj) * pj
+                p = p - (float(Ap0.dot(pj)) / paj) * pj
         Ap = spmv(A, p)
-        p_energy = float(np.dot(p, Ap))
-        if p_energy <= BREAKDOWN_REL * float(np.dot(p, p)):
+        p_energy = float(p.dot(Ap))
+        if p_energy <= BREAKDOWN_REL * float(p.dot(p)):
             raise PCGBreakdownError("PCG breakdown: zero-energy direction")
-        alpha = float(np.dot(r, p)) / p_energy
-        u = u + alpha * p
+        alpha = float(r.dot(p)) / p_energy
+        u = alpha * p if u is None else u + alpha * p
         r = r - alpha * Ap
-        state.directions.append((p, Ap, p_energy))
-        state.residuals.append(r)
-        state.iterate = u
-        state.residual = r
-        if math.sqrt(np.dot(r, r)) <= RESIDUAL_EXIT_REL * f_norm:
+        directions.append((p, Ap, p_energy))
+        residuals.append(r)
+        if math.sqrt(r.dot(r)) <= RESIDUAL_EXIT_REL * f_norm:
             break
-    return state
+    return PcgState(u, r, directions, residuals)
 
 
 def nonlinear_pcg(A, precond, f, params):
@@ -134,21 +137,35 @@ def apply_cycle(h, k, f, symmetric, params=None):
     steps preconditioned by it (the AMLI cycles).  The coarsest level is
     solved exactly.
     """
-    lv = h.level(k)
-    if f.shape[0] != lv.A.shape[0]:
+    A = h.level(k).A
+    if f.shape[0] != A.shape[0]:
         raise ValueError("dimension mismatch at level %d: matrix is %d, "
-                         "vector has length %d" % (k, lv.A.shape[0], f.shape[0]))
+                         "vector has length %d" % (k, A.shape[0], f.shape[0]))
+    return _visit(h, k, f, symmetric, params)
+
+
+def _visit(h, k, f, symmetric, params):
+    """apply_cycle after its checks.  Every level below k is reached by
+    index, and every vector handed down has that level's length by
+    construction.  Each visit of level k >= 2 calls lv.smoother.apply once,
+    each of level 1 h.coarsest_solver.solve, and each inner PCG goes
+    through this module's run_pcg, so that a wrapper bound to that name
+    sees it."""
     if k == 1:
         return h.coarsest_solver.solve(f)
+    lv = h.levels[k - 1]
+    coarser = h.levels[k - 2]
     u1 = lv.smoother.apply(f)
-    coarser = h.level(k - 1)
     g = spmv(coarser.R, f - spmv(lv.A, u1))
     if params is None:
-        coarse = apply_cycle(h, k - 1, g, symmetric)
+        coarse = _visit(h, k - 1, g, symmetric, None)
     else:
-        coarse = nonlinear_pcg(
-            coarser.A, lambda rr: apply_cycle(h, k - 1, rr, symmetric, params),
-            g, params)
+        if k == 2:
+            precond = h.coarsest_solver.solve
+        else:
+            def precond(rr):
+                return _visit(h, k - 1, rr, symmetric, params)
+        coarse = run_pcg(coarser.A, precond, g, params).iterate
     u2 = u1 + spmv(coarser.P_to_finer, coarse)
     if not symmetric:
         return u2
@@ -178,15 +195,13 @@ def apply_amli(h, k, f, params):
 def apply_amli_tilde(h, k, f, params):
     """n_inner PCG steps at level k preconditioned by the symmetric AMLI cycle."""
     return nonlinear_pcg(h.level(k).A,
-                         lambda rr: apply_cycle(h, k, rr, True, params),
-                         f, params)
+                         lambda rr: _visit(h, k, rr, True, params), f, params)
 
 
 def apply_amli_tilde_ns(h, k, f, params):
     """n_inner PCG steps at level k preconditioned by the nonsymmetric AMLI cycle."""
     return nonlinear_pcg(h.level(k).A,
-                         lambda rr: apply_cycle(h, k, rr, False, params),
-                         f, params)
+                         lambda rr: _visit(h, k, rr, False, params), f, params)
 
 
 def required_n(delta_bar):
@@ -217,6 +232,15 @@ class SolveReport:
         return self.status == "diverged"
 
 
+def require_stopping(tol, max_iter):
+    """Raise ValueError unless tol > 0 and max_iter >= 1, stationary_solve's
+    rule."""
+    if not tol > 0.0:
+        raise ValueError("tol must be > 0, got %g" % tol)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1, got %d" % max_iter)
+
+
 def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
                      max_iter=2000, u_exact=None):
     """Iterate u <- u + operator(f - A u) until the stopping criterion holds.
@@ -228,7 +252,9 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
     residual grew by 1e6 over its starting value), 'nonfinite' (the
     residual or energy error became inf or NaN) or 'breakdown' (the
     operator raised PCGBreakdownError; the iterate before that call stands).
+    tol and max_iter are checked first (require_stopping).
     """
+    require_stopping(tol, max_iter)
     if tol_kind not in ("rel_residual", "energy_error"):
         raise ValueError("unknown tol_kind %r" % tol_kind)
     if tol_kind == "energy_error" and u_exact is None:

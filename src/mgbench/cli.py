@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
-    apply_amli_tilde_ns, apply_backslash, apply_v_cycle, stationary_solve
+    apply_amli_tilde_ns, apply_backslash, apply_v_cycle, require_stopping, \
+    stationary_solve
 from .hierarchy import DEFAULT_MAX_LEVELS, DEFAULT_MIN_COARSE, DEFAULT_THETA, \
     build_geometric, build_ua_amg, require_coarsening
 from .linalg import DENSE_LIMIT
@@ -278,7 +279,8 @@ def cmd_run(args):
     # the settings run_experiment builds, built once first to check them
     _usage(args, SmootherSpec, args.smoother, args.weight, args.sweeps)
     _usage(args, _columns, args.cycle, args.npcg, args.truncate)
-    _usage(args, require_coarsening, args.theta, args.min_coarse)
+    _usage(args, require_coarsening, args.theta, args.min_coarse, args.max_levels)
+    _usage(args, require_stopping, args.tol, args.max_iter)
     config = dict(vars(args), truncation=args.truncate, cycles=args.cycle)
     if args.problem == "ua_poisson":
         config["sizes"] = [(2 ** k - 1) ** 2 for k in levels]
@@ -287,7 +289,9 @@ def cmd_run(args):
         config["k_range"] = levels
         row_header = "k"
 
-    rows, col_labels = run_experiment(config)
+    # a hierarchy whose coarsest level is above the dense limit shows only
+    # when it is built; solve failures come out as RuntimeError
+    rows, col_labels = _usage(args, run_experiment, config)
     print(emit_table(rows, col_labels, args.format, args.max_iter, row_header))
     all_ok = all(rep.converged for _, row in rows for rep in row)
     return 0 if all_ok else 1
@@ -312,9 +316,9 @@ def cmd_verify(args):
 
 def cmd_hierarchy(args):
     k = row_levels(args, [5], [6])[0]
-    _usage(args, require_coarsening, args.theta, args.min_coarse)
-    _, _, h = build_problem(args.problem, k, None, args.theta,
-                            args.min_coarse, args.max_levels)
+    _usage(args, require_coarsening, args.theta, args.min_coarse, args.max_levels)
+    _, _, h = _usage(args, build_problem, args.problem, k, None, args.theta,
+                     args.min_coarse, args.max_levels)
     print(h.report())
     return 0
 

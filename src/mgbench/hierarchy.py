@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import DenseFactorization, _galerkin, as_csr, rap
+from .linalg import DENSE_LIMIT, DenseFactorization, _galerkin, as_csr, rap
 from .problems import MAX_LEVEL, assemble_jump, assemble_poisson
 from .smoothers import SmootherSpec, bind
 
@@ -29,12 +29,15 @@ class CoarseningStagnation(RuntimeError):
     pass
 
 
-def require_coarsening(theta, min_coarse=1):
-    """Raise ValueError unless 0 <= theta < 1 and min_coarse >= 1."""
+def require_coarsening(theta, min_coarse=1, max_levels=1):
+    """Raise ValueError unless 0 <= theta < 1, min_coarse >= 1 and
+    max_levels >= 1."""
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1), got %g" % theta)
     if min_coarse < 1:
         raise ValueError("min_coarse must be >= 1, got %d" % min_coarse)
+    if max_levels < 1:
+        raise ValueError("max_levels must be >= 1, got %d" % max_levels)
 
 
 @dataclass
@@ -242,10 +245,12 @@ def build_ua_amg(A_fine, theta=DEFAULT_THETA, min_coarse=DEFAULT_MIN_COARSE,
     Coarsening repeats until the dimension drops to min_coarse or max_levels
     is reached; two consecutive aggregations that fail to reduce the
     dimension raise CoarseningStagnation.  The first coarsening is rap,
-    which checks A_fine (NonSPDError if it is not symmetric).  theta and
-    min_coarse are checked first (require_coarsening).
+    which checks A_fine (NonSPDError if it is not symmetric).  theta,
+    min_coarse and max_levels are checked first (require_coarsening); a
+    coarsest level above the dense limit raises ValueError before any
+    smoother is bound.
     """
-    require_coarsening(theta, min_coarse)
+    require_coarsening(theta, min_coarse, max_levels)
     if smoother is None:
         smoother = SmootherSpec()
     A_fine = as_csr(A_fine)
@@ -266,6 +271,10 @@ def build_ua_amg(A_fine, theta=DEFAULT_THETA, min_coarse=DEFAULT_MIN_COARSE,
         Ak = rap(P, Ak) if len(levels) == 1 else _galerkin(P, Ak)
         levels.append(Level(A=Ak, P_to_finer=P))
 
+    if Ak.shape[0] > DENSE_LIMIT:
+        raise ValueError("the coarsest of %d levels has %d unknowns, above the "
+                         "dense limit %d; raise max_levels or lower min_coarse"
+                         % (len(levels), Ak.shape[0], DENSE_LIMIT))
     levels.reverse()   # coarsest first; each P_to_finer already sits on its coarse level
     for lv in levels:
         lv.smoother = bind(lv.A, smoother)

@@ -74,8 +74,8 @@ def spmv(A, x):
 
 def a_norm(A, x):
     """Energy norm sqrt((A x, x)); negative quadratic form raises NonSPDError."""
-    q = float(np.dot(spmv(A, x), x))
-    if q < -1e-12 * float(np.dot(x, x)):
+    q = float(spmv(A, x).dot(x))
+    if q < 0.0 and q < -1e-12 * float(np.dot(x, x)):
         raise NonSPDError("(Ax, x) = %.3e < 0: operator is not SPD" % q)
     return float(np.sqrt(max(q, 0.0)))
 
@@ -116,7 +116,8 @@ class DenseFactorization:
     solve() performs one step of iterative refinement so the residual stays
     near machine precision even for badly conditioned coarse operators.  It
     calls LAPACK potrs directly, as cho_solve would, without cho_solve's
-    per-call argument checks and routine lookup.
+    per-call argument checks and routine lookup; the AMLI cycles solve on
+    the coarsest level once per visit of the next-coarsest one.
     """
 
     def __init__(self, A):
@@ -133,20 +134,19 @@ class DenseFactorization:
                               "matrix is not SPD (%s)" % exc) from exc
         self._potrs, = sla.get_lapack_funcs(("potrs",), (self._factor,))
 
-    def _cho_solve(self, b):
-        x, info = self._potrs(self._factor, b, lower=self._lower)
-        if info != 0:
-            raise ValueError("illegal value in argument %d of potrs" % -info)
-        return x
-
     def solve(self, f):
         f = np.asarray(f, float)
         if f.shape[0] != self.dimension:
             raise ValueError("dimension mismatch: factorization is %d, "
                              "vector has length %d" % (self.dimension, f.shape[0]))
-        u = self._cho_solve(f)
-        r = f - self._dense @ u
-        return u + self._cho_solve(r)
+        # potrs copies its right-hand side (lower passed by position, which
+        # f2py parses faster); info flags only illegal arguments
+        u, info = self._potrs(self._factor, f, self._lower)
+        if info == 0:
+            du, info = self._potrs(self._factor, f - self._dense @ u, self._lower)
+            if info == 0:
+                return u + du
+        raise ValueError("illegal value in argument %d of potrs" % -info)
 
 
 def power_method(A, tol=1e-8, maxiter=500):

@@ -55,6 +55,11 @@ DENSE_GS_LIMIT = 320
 
 KINDS = ("gs", "jacobi", "richardson")
 
+# dtrsv's optional arguments by position (incx, offx, lower, trans, diag,
+# overwrite_x): f2py parses them in about half the time of keywords
+_DTRSV_FORWARD = (1, 0, 1, 0, 1)        # M u = f, unit lower triangle
+_DTRSV_BACKWARD = (1, 0, 1, 1, 1, 1)    # M^t u = f, in place
+
 
 @dataclass(frozen=True)
 class SmootherSpec:
@@ -104,6 +109,7 @@ class BoundSmoother:
         if np.any(d == 0.0):
             raise ValueError("zero diagonal entry at index %d"
                              % int(np.argmin(d != 0.0)))
+        self._one_gs_sweep = spec.kind == "gs" and spec.sweeps == 1
         if spec.kind == "gs":
             self._inv_d = 1.0 / d
             M = _unit_lower_csc(A, self._inv_d)
@@ -124,37 +130,54 @@ class BoundSmoother:
             rho, _, _ = power_method(A)
             self._scale = spec.weight / rho
 
-    def _single(self, f, transpose):
-        if self.spec.kind != "gs":
-            return self._scale * f
-        if self._dense:
-            if transpose:
-                return dtrsv(self._unit_lower, self._inv_d * f, lower=1, trans=1,
-                             diag=1, overwrite_x=1)
-            return self._inv_d * dtrsv(self._unit_lower, f, lower=1, diag=1)
-        # gstrs returns a new array and leaves b alone; its info flags only
-        # illegal arguments
-        if transpose:
-            return gstrs("T", *self._triangle, self._inv_d * f)[0]
-        return self._inv_d * gstrs("N", *self._triangle, f)[0]
-
-    def _sweep(self, f, transpose):
+    def _checked(self, f):
+        """f as a float array, after the length check."""
         f = np.asarray(f, float)
         if f.shape[0] != self.A.shape[0]:
             raise ValueError("dimension mismatch: smoother has %d unknowns, "
                              "vector has length %d" % (self.A.shape[0], f.shape[0]))
+        return f
+
+    def _forward(self, f):
+        """One forward Gauss-Seidel sweep, D^-1 M^-1 f."""
+        if self._dense:
+            return self._inv_d * dtrsv(self._unit_lower, f, *_DTRSV_FORWARD)
+        # gstrs returns a new array and leaves b alone; its info flags only
+        # illegal arguments
+        return self._inv_d * gstrs("N", *self._triangle, f)[0]
+
+    def _backward(self, f):
+        """One backward Gauss-Seidel sweep, M^-t D^-1 f."""
+        if self._dense:
+            return dtrsv(self._unit_lower, self._inv_d * f, *_DTRSV_BACKWARD)
+        return gstrs("T", *self._triangle, self._inv_d * f)[0]
+
+    def _single(self, f, transpose):
+        if self.spec.kind != "gs":
+            return self._scale * f
+        return self._backward(f) if transpose else self._forward(f)
+
+    def _sweeps(self, f, transpose):
         u = self._single(f, transpose)
         for _ in range(self.spec.sweeps - 1):
             u = u + self._single(f - spmv(self.A, u), transpose)
         return u
 
     def apply(self, f):
-        """R f"""
-        return self._sweep(f, transpose=False)
+        """R f.  The cycles call apply and apply_transpose once per level
+        visit, mostly on levels of a few dozen unknowns, so one Gauss-Seidel
+        sweep goes straight to its kernel."""
+        f = self._checked(f)
+        if self._one_gs_sweep:
+            return self._forward(f)
+        return self._sweeps(f, False)
 
     def apply_transpose(self, f):
         """R^t f (backward Gauss-Seidel; Jacobi/Richardson are self-adjoint)."""
-        return self._sweep(f, transpose=True)
+        f = self._checked(f)
+        if self._one_gs_sweep:
+            return self._backward(f)
+        return self._sweeps(f, True)
 
     def composite(self, v):
         """Symmetrized composite: (R + R^t - R A R^t) v."""

@@ -5,6 +5,7 @@ check name), measures the relevant identity/inequality, and returns a
 CheckReport whose `passed` flag means `violation <= tolerance`.  Constants
 estimated from samples are evidence, never certified suprema/infima.
 """
+import functools
 import zlib
 from dataclasses import dataclass, field
 
@@ -84,6 +85,12 @@ def _pencil_top(num, den, semidefinite=False):
     return float(w[-1]), vecs[:, -1]
 
 
+def _lazy_model(h, k):
+    """A function that builds _two_grid_model(h, k) on its first call and
+    returns that model on every call."""
+    return functools.cache(functools.partial(_two_grid_model, h, k))
+
+
 def check_approximation_constant(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     """Estimate c1 in ||(I-Pi)v||_A^2 <= c1/rho(A) ||A v||^2 by sampling.
 
@@ -91,6 +98,11 @@ def check_approximation_constant(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEE
     Rayleigh candidate of the pencil (A(I-Pi), A^2); random sampling alone
     badly underestimates the supremum.  Still an estimate, not a certificate.
     """
+    return _approximation_constant(h, k, samples, seed, _lazy_model(h, k))
+
+
+def _approximation_constant(h, k, samples, seed, model):
+    """check_approximation_constant, given _lazy_model(h, k)."""
     lv = h.level(k)
     n = lv.A.shape[0]
     project = _coarse_projector(h, k)
@@ -98,7 +110,7 @@ def check_approximation_constant(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEE
     rng = rng_for(seed, "approximation_constant_l%d" % k)
     pool = [rng.standard_normal(n) for _ in range(samples)]
     if n <= _CANDIDATE_LIMIT:
-        A, S, _F = _two_grid_model(h, k)
+        A, S, _F = model()
         pool.append(_pencil_top(S, A @ A, semidefinite=True)[1])
     c1 = 0.0
     for v in pool:
@@ -120,13 +132,18 @@ def check_smoothed_projection_bound(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_
     Near-degenerate denominators (below 1e-14 ||v||_A^2) are skipped; a
     negative denominator means the smoother is not A-convergent and raises.
     """
+    return _smoothed_projection_bound(h, k, samples, seed, _lazy_model(h, k))
+
+
+def _smoothed_projection_bound(h, k, samples, seed, model):
+    """check_smoothed_projection_bound, given _lazy_model(h, k)."""
     lv = h.level(k)
     n = lv.A.shape[0]
     project = _coarse_projector(h, k)
     rng = rng_for(seed, "smoothed_projection_l%d" % k)
     pool = [rng.standard_normal(n) for _ in range(samples)]
     if n <= _CANDIDATE_LIMIT:
-        A, S, F = _two_grid_model(h, k)
+        A, S, F = model()
         pool.append(_pencil_top(F.T @ S @ F, A - F.T @ A @ F,
                                 semidefinite=True)[1])
     eta = 0.0
@@ -206,7 +223,11 @@ def check_two_grid_factor(h, k):
     """A-norm of the symmetric two-grid error propagator E at level k (dense):
     E is A-self-adjoint and A-semidefinite, so ||E||_A is the top eigenvalue
     of the pencil (A E, A) = (F^t S F, A).  A non-SPD level raises ValueError."""
-    A, S, F = _two_grid_model(h, k)
+    return _two_grid_factor(_two_grid_model(h, k))
+
+
+def _two_grid_factor(model):
+    A, S, F = model
     return _pencil_top(F.T @ S @ F, A)[0]
 
 
@@ -250,17 +271,17 @@ def check_comparison_suite(h, params=None, samples=DEFAULT_SAMPLES,
             e_t = v - apply_amli_tilde(h, k, Av, params)
             e_h = v - apply_amli(h, k, Av, params)
             e_v = v - apply_v_cycle(h, k, Av)
-            q_t = float(np.dot(spmv(A, e_t), v))
-            q_h = float(np.dot(spmv(A, e_h), v))
-            q_v = float(np.dot(spmv(A, e_v), v))
+            q_t = float(spmv(A, e_t).dot(v))
+            q_h = float(spmv(A, e_h).dot(v))
+            q_v = float(spmv(A, e_v).dot(v))
             min_slack_sym = min(min_slack_sym, q_t / nv2,
                                 (q_h - q_t) / nv2, (q_v - q_h) / nv2)
 
             # identity gap normalized by the input energy: the forms are
             # computed from O(||v||)-sized intermediates, so ||v||_A^2 is
             # the scale floating point can resolve against
-            nt2 = a_norm(A, e_t) ** 2
-            max_identity_rel = max(max_identity_rel, abs(nt2 - q_t) / nv2)
+            r_t = a_norm(A, e_t)
+            max_identity_rel = max(max_identity_rel, abs(r_t ** 2 - q_t) / nv2)
 
             e_tn = v - apply_amli_tilde_ns(h, k, Av, params)
             e_hn = v - apply_amli_ns(h, k, Av, params)
@@ -273,7 +294,7 @@ def check_comparison_suite(h, params=None, samples=DEFAULT_SAMPLES,
                                (r_bn - r_hn) / nv)
 
             if r_bn > 0.0:
-                max_ratio = max(max_ratio, a_norm(A, e_t) / r_bn)
+                max_ratio = max(max_ratio, r_t / r_bn)
 
     full = params.truncation == "full"
     pieces = [max(0.0, -min_slack_ns) / 1e-12]
@@ -302,18 +323,21 @@ def run_suite(h, levels, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     """The `mgbench verify` suite on hierarchy h, one report per CSV row:
     per hierarchy index k in `levels` (1 = coarsest, k < 2 skipped) c1, eta,
     the error representation at k <= 3 and the dense two-grid factor at
-    k <= 5; then the comparison chains with n = 1 and 2 over all levels."""
+    k <= 5; then the comparison chains with n = 1 and 2 over all levels.
+    Each level's dense two-grid model is built once, for all three of its
+    dense checks."""
     require_samples(samples)
     reports = []
     for k in levels:
         if k < 2:
             continue
-        reports.append(check_approximation_constant(h, k, samples, seed))
-        reports.append(check_smoothed_projection_bound(h, k, samples, seed))
+        model = _lazy_model(h, k)
+        reports.append(_approximation_constant(h, k, samples, seed, model))
+        reports.append(_smoothed_projection_bound(h, k, samples, seed, model))
         if k <= 3:
             reports.append(check_error_representation(h, k, seed=seed))
         if k <= 5:
-            factor = check_two_grid_factor(h, k)
+            factor = _two_grid_factor(model())
             reports.append(CheckReport(
                 name="two_grid_factor_l%d" % k,
                 passed=factor < 1.0,

@@ -299,6 +299,21 @@ def test_stationary_solve_names_breakdown_exit():
     assert not report.converged and not report.diverged
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"tol": -1.0}, "tol must be > 0, got -1"), ({"tol": 0.0}, "tol must be > 0"),
+    ({"tol": float("nan")}, "tol must be > 0, got nan"),
+    ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+])
+def test_stationary_solve_rejects_unreachable_stop(kwargs, named):
+    """tol <= 0 used to run to max_iter and report 'max_iter'; max_iter 0
+    reported the untouched start as 'max_iter'."""
+    A, f = assemble_poisson(3)
+    calls = []
+    with pytest.raises(ValueError, match=named):
+        stationary_solve(calls.append, A, f, **kwargs)
+    assert not calls
+
+
 def test_stationary_solve_statuses():
     A, f = assemble_poisson(3)
     h = build_geometric("poisson", 3)

@@ -390,11 +390,29 @@ def test_hierarchy_has_no_report_flag(capsys):
     ("hierarchy --problem ua_poisson --min-coarse 0", "min_coarse must be"),
     ("verify --samples 0 --levels 6", "samples must be >= 1, got 0"),
     ("verify --samples -3", "samples must be >= 1, got -3"),
+    ("run --tol -1", "tol must be > 0, got -1"),
+    ("run --tol 0", "tol must be > 0, got 0"),
+    ("run --max-iter 0", "max_iter must be >= 1, got 0"),
+    ("run --max-levels 0", "max_levels must be >= 1, got 0"),
+    ("run --problem ua_poisson --max-levels -2", "max_levels must be >= 1, got -2"),
+    ("hierarchy --problem ua_poisson --max-levels 0", "max_levels must be >= 1"),
 ])
 def test_bad_settings_are_usage_errors(command, named, monkeypatch, capsys):
     """Each setting is checked by the library rule that owns it, before
     anything is built, and reported as a usage error (exit 2)."""
     _forbid_building(monkeypatch)
+    assert named in _usage_error(command.split(), capsys)
+
+
+@pytest.mark.parametrize("command", [
+    "hierarchy --problem ua_poisson --size 16129 --max-levels 1",
+    "run --problem ua_poisson --size 16129 --max-levels 1 --cycle v",
+])
+def test_coarsest_level_above_dense_limit_is_usage_error(command, capsys):
+    """A one-level 16129-unknown hierarchy would factor its only level
+    densely; build_ua_amg rejects it before binding any smoother, and the
+    CLI reports that as a usage error."""
+    named = "the coarsest of 1 levels has 16129 unknowns, above the dense limit 4096"
     assert named in _usage_error(command.split(), capsys)
 
 

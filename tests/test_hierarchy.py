@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import mgbench.hierarchy
 from mgbench import (Aggregation, CoarseningStagnation, DENSE_LIMIT, NonSPDError,
                      aggregate, as_csr, assemble_jump, assemble_poisson, a_norm,
                      build_geometric, build_ua_amg, geometric_prolongator,
@@ -246,6 +247,7 @@ def test_aggregate_rejects_bad_input():
 @pytest.mark.parametrize("kwargs, named", [
     ({"theta": 1.5}, "theta"), ({"theta": -0.1}, "theta"),
     ({"min_coarse": 0}, "min_coarse"),
+    ({"max_levels": 0}, "max_levels must be >= 1, got 0"),
 ])
 def test_build_ua_amg_checks_coarsening_at_entry(kwargs, named):
     # 49 unknowns are below the default min_coarse, so no level would be
@@ -253,6 +255,18 @@ def test_build_ua_amg_checks_coarsening_at_entry(kwargs, named):
     A, _ = assemble_poisson(3)
     with pytest.raises(ValueError, match=named):
         build_ua_amg(A, **kwargs)
+
+
+def test_build_ua_amg_rejects_coarsest_level_above_dense_limit(monkeypatch):
+    """max_levels 1 at 16129 unknowns would leave a 16129-unknown coarsest
+    level to factor densely; the build stops before binding a smoother."""
+    def bind(*args):
+        raise AssertionError("a smoother was bound")
+
+    monkeypatch.setattr(mgbench.hierarchy, "bind", bind)
+    A, _ = assemble_poisson(7)
+    with pytest.raises(ValueError, match="16129 unknowns, above the dense limit 4096"):
+        build_ua_amg(A, max_levels=1)
 
 
 def test_nan_diagonal_is_rejected_by_index():

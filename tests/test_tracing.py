@@ -7,6 +7,7 @@ therefore reach each level only through those attributes (restriction goes
 through Level.R, which is derived from P_to_finer); otherwise a traced run
 would miss work or differ from the untraced one.
 """
+import functools
 import sys
 from pathlib import Path
 
@@ -14,14 +15,21 @@ import numpy as np
 import pytest
 
 import mgbench
-from mgbench import (CycleParams, apply_amli, apply_amli_tilde, apply_backslash,
-                     apply_v_cycle)
+import mgbench.verify
+from mgbench import (CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde,
+                     apply_amli_tilde_ns, apply_backslash, apply_v_cycle)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
 import tracing  # noqa: E402
 
 K = 4
+
+
+def _pcg_traced(tracer):
+    """tracing.patched with run_pcg wrapped, as the benchmark's traced run has it."""
+    pcg = (mgbench.amli.run_pcg, tracing.pcg_wrapper(tracer, mgbench.amli.run_pcg))
+    return tracing.patched(tracer, extra=[pcg])
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +39,11 @@ def hierarchy():
 
 @pytest.mark.parametrize("cycle,apply,n", [
     ("v", lambda h, f, p: apply_v_cycle(h, K, f), None),
+    ("backslash", lambda h, f, p: apply_backslash(h, K, f), None),
     ("amli", lambda h, f, p: apply_amli(h, K, f, p), 2),
+    ("amli-ns", lambda h, f, p: apply_amli_ns(h, K, f, p), 2),
     ("amli-tilde", lambda h, f, p: apply_amli_tilde(h, K, f, p), 2),
+    ("amli-tilde-ns", lambda h, f, p: apply_amli_tilde_ns(h, K, f, p), 2),
 ])
 def test_traced_hierarchy_is_bit_identical_and_sees_every_visit(hierarchy, cycle,
                                                                 apply, n):
@@ -41,8 +52,7 @@ def test_traced_hierarchy_is_bit_identical_and_sees_every_visit(hierarchy, cycle
     plain = apply(hierarchy, f, params)
 
     tracer = tracing.Tracer()
-    pcg = (mgbench.amli.run_pcg, tracing.pcg_wrapper(tracer, mgbench.amli.run_pcg))
-    with tracing.patched(tracer, extra=[pcg]):
+    with _pcg_traced(tracer):
         traced = apply(tracing.traced_hierarchy(hierarchy, tracer), f, params)
 
     assert np.array_equal(traced, plain)
@@ -72,3 +82,46 @@ def test_traced_linear_cycles_count_every_level_matvec(hierarchy, cycle, apply,
     for k in range(2, K + 1):
         assert tracer.counts.get("cycles.visits.L%d" % k, 0) == visits[k]
         assert tracer.counts.get("linalg.matvec.L%d" % k, 0) == per_visit * visits[k]
+
+
+CHAIN_SAMPLES = 2
+CHAIN_CYCLES = ("amli", "amli-ns", "amli-tilde", "amli-tilde-ns", "v", "backslash")
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_hierarchy(name):
+    if name == "ua":
+        return mgbench.build_ua_amg(mgbench.assemble_poisson(5)[0],
+                                    smoother=mgbench.SmootherSpec(sweeps=2))
+    return mgbench.build_geometric(name, K)
+
+
+@pytest.mark.parametrize("truncation", ["full", "sd"])
+@pytest.mark.parametrize("name", ["poisson", "jump", "ua"])
+def test_traced_comparison_suite_matches_untraced_and_cost_model(name, truncation):
+    """The comparison suite, the benchmark's comparison_chain traffic, gives
+    the same report traced and untraced, and the traced run sees exactly
+    the level visits of the cost model: six cycle applies per sample on
+    every level above the coarsest.  The UA-AMG hierarchy smooths with two
+    sweeps, so its smoother takes the multi-sweep path."""
+    h = _chain_hierarchy(name)
+    params = CycleParams(n_inner=2, truncation=truncation)
+    suite = mgbench.verify.check_comparison_suite
+    plain = suite(h, params, samples=CHAIN_SAMPLES, seed=12)
+
+    tracer = tracing.Tracer()
+    with _pcg_traced(tracer):
+        traced = suite(tracing.traced_hierarchy(h, tracer), params,
+                       samples=CHAIN_SAMPLES, seed=12)
+
+    assert traced.measured == plain.measured
+    assert traced.samples == plain.samples == CHAIN_SAMPLES * (h.n_levels - 1)
+    expected = {}
+    for top in range(2, h.n_levels + 1):
+        for cycle in CHAIN_CYCLES:
+            checks.add_visits(expected, checks.visits_per_apply(cycle, 2, top),
+                              CHAIN_SAMPLES)
+    seen = {k: tracer.counts.get("cycles.visits.L%d" % k, 0)
+            for k in range(1, h.n_levels + 1)}
+    assert seen == expected
+    assert tracer.counts[tracing.COARSE_SPAN] == expected[1]

@@ -119,8 +119,15 @@ def test_two_grid_factor_rejects_non_spd_level():
 
 def test_run_suite_rows_and_order(monkeypatch):
     """Which check runs at which level, and in which order: the per-level
-    checks are stubbed, so only run_suite's own bookkeeping runs."""
+    checks and the dense model are stubbed, so only run_suite's own
+    bookkeeping runs.  The three dense checks of a level share one model,
+    built at most once."""
     calls = []
+    models = []
+
+    def model(h, k):
+        models.append(k)
+        return ("model", k)
 
     def stub(name):
         def check(h, k, *args, **kwargs):
@@ -128,16 +135,23 @@ def test_run_suite_rows_and_order(monkeypatch):
             return CheckReport(name="%s_l%d" % (name, k), passed=True)
         return check
 
+    def dense_stub(name):
+        def check(h, k, samples, seed, level_model):
+            calls.append((name, k, (samples, seed, level_model()), {}))
+            return CheckReport(name="%s_l%d" % (name, k), passed=True)
+        return check
+
     def comparison(h, params, samples, seed):
         calls.append(("comparison", params.n_inner, samples, seed))
         return CheckReport(name="comparison_n%d" % params.n_inner, passed=True)
 
-    for check, name in [("check_approximation_constant", "approximation_constant"),
-                        ("check_smoothed_projection_bound", "smoothed_projection"),
-                        ("check_error_representation", "error_representation")]:
-        monkeypatch.setattr(mgbench.verify, check, stub(name))
-    monkeypatch.setattr(mgbench.verify, "check_two_grid_factor",
-                        lambda h, k: k / 10)
+    for check, name in [("_approximation_constant", "approximation_constant"),
+                        ("_smoothed_projection_bound", "smoothed_projection")]:
+        monkeypatch.setattr(mgbench.verify, check, dense_stub(name))
+    monkeypatch.setattr(mgbench.verify, "check_error_representation",
+                        stub("error_representation"))
+    monkeypatch.setattr(mgbench.verify, "_two_grid_model", model)
+    monkeypatch.setattr(mgbench.verify, "_two_grid_factor", lambda m: m[1] / 10)
     monkeypatch.setattr(mgbench.verify, "check_comparison_suite", comparison)
 
     reports = run_suite(object(), [1, 2, 3, 4, 5, 6], samples=30, seed=9)
@@ -152,8 +166,10 @@ def test_run_suite_rows_and_order(monkeypatch):
         "two_grid_factor_l5",
         "approximation_constant_l6", "smoothed_projection_l6",
         "comparison_n1", "comparison_n2"]
+    assert models == [2, 3, 4, 5, 6]
     assert calls[-2:] == [("comparison", 1, 10, 9), ("comparison", 2, 10, 9)]
-    assert ("approximation_constant", 4, (30, 9), {}) in calls
+    assert ("approximation_constant", 4, (30, 9, ("model", 4)), {}) in calls
+    assert ("smoothed_projection", 6, (30, 9, ("model", 6)), {}) in calls
     assert ("error_representation", 3, (), {"seed": 9}) in calls
     two_grid = reports[3]
     assert two_grid.passed and two_grid.samples == 0
