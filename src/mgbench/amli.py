@@ -8,9 +8,11 @@ most recent m+1 (window m), or none (preconditioned steepest descent).
 Every cycle is one recursion: apply_cycle checks its level and vector once,
 and _visit recurses.  The linear \\- and V-cycles correct with the same
 cycle one level down; the AMLI cycles replace that coarse-grid solve by
-n_inner steps of this PCG, preconditioned by the coarser-level cycle.
-Restriction is the prolongator transpose, which each level stores once
-(Level.R).
+n_inner steps of this PCG, preconditioned by the coarser-level cycle.  On
+level 2 that PCG would be preconditioned by the exact solve A_1^{-1}, and
+its first step (alpha = 1) is A_1^{-1} g, so every cycle takes the coarsest
+solve itself there, as the K-cycle does.  Restriction is the prolongator
+transpose, which each level stores once (Level.R).
 """
 import math
 from dataclasses import dataclass, field
@@ -71,9 +73,9 @@ def run_pcg(A, precond, f, params):
     truncation set, with beta_ij = (A precond(r_i), p_j)/(p_j, p_j)_A, then
     u_{i+1} = u_i + alpha_i p_i,  r_{i+1} = r_i - alpha_i A p_i,
     alpha_i = (r_i, p_i)/(p_i, p_i)_A.
-    Exits early once ||r|| <= 1e-14 ||f||; a direction with vanishing energy
-    raises PCGBreakdownError, and an f whose length is not A's raises
-    ValueError.
+    Exits before a step once ||r|| <= 1e-14 ||f||; a direction with
+    vanishing energy raises PCGBreakdownError, and an f whose length is
+    not A's raises ValueError.
 
     The AMLI cycles call this thousands of times on small levels, so its own
     work is kept low.  Residuals are stored uncopied: r is only ever rebound,
@@ -96,7 +98,9 @@ def run_pcg(A, precond, f, params):
 
     trunc = params.truncation
     u = None
-    for _ in range(params.n_inner):
+    for i in range(params.n_inner):
+        if i and math.sqrt(r.dot(r)) <= RESIDUAL_EXIT_REL * f_norm:
+            break
         p = np.asarray(precond(r), float)
         if trunc == "full":
             against = directions
@@ -117,8 +121,6 @@ def run_pcg(A, precond, f, params):
         r = r - alpha * Ap
         directions.append((p, Ap, p_energy))
         residuals.append(r)
-        if math.sqrt(r.dot(r)) <= RESIDUAL_EXIT_REL * f_norm:
-            break
     return PcgState(u, r, directions, residuals)
 
 
@@ -135,7 +137,7 @@ def apply_cycle(h, k, f, symmetric, params=None):
     R^t.  The coarse correction is this cycle one level down when params
     is None (the linear \\- and V-cycles), or params.n_inner nonlinear PCG
     steps preconditioned by it (the AMLI cycles).  The coarsest level is
-    solved exactly.
+    solved exactly, and on level 2 that solve is the correction.
     """
     A = h.level(k).A
     if f.shape[0] != A.shape[0]:
@@ -150,21 +152,19 @@ def _visit(h, k, f, symmetric, params):
     construction.  Each visit of level k >= 2 calls lv.smoother.apply once,
     each of level 1 h.coarsest_solver.solve, and each inner PCG goes
     through this module's run_pcg, so that a wrapper bound to that name
-    sees it."""
+    sees it.  Level 2 corrects with one level-1 visit in every cycle; the
+    module docstring says why that is the AMLI correction too."""
     if k == 1:
         return h.coarsest_solver.solve(f)
     lv = h.levels[k - 1]
     coarser = h.levels[k - 2]
     u1 = lv.smoother.apply(f)
     g = spmv(coarser.R, f - spmv(lv.A, u1))
-    if params is None:
+    if params is None or k == 2:
         coarse = _visit(h, k - 1, g, symmetric, None)
     else:
-        if k == 2:
-            precond = h.coarsest_solver.solve
-        else:
-            def precond(rr):
-                return _visit(h, k - 1, rr, symmetric, params)
+        def precond(rr):
+            return _visit(h, k - 1, rr, symmetric, params)
         coarse = run_pcg(coarser.A, precond, g, params).iterate
     u2 = u1 + spmv(coarser.P_to_finer, coarse)
     if not symmetric:

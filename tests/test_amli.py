@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mgbench.amli
 from mgbench import (CycleParams, DenseFactorization, PCGBreakdownError,
-                     a_norm, apply_amli, apply_amli_ns, apply_amli_tilde,
-                     apply_backslash, apply_v_cycle,
-                     as_csr, assemble_poisson, build_geometric, nonlinear_pcg,
-                     required_n, run_pcg, stationary_solve)
+                     SmootherSpec, a_norm, apply_amli, apply_amli_ns,
+                     apply_amli_tilde, apply_backslash, apply_v_cycle,
+                     as_csr, assemble_poisson, build_geometric, build_ua_amg,
+                     nonlinear_pcg, required_n, run_pcg, stationary_solve)
 
 P1 = CycleParams(n_inner=1)
 P2 = CycleParams(n_inner=2)
@@ -60,8 +61,8 @@ def test_breakdown_on_zero_preconditioner():
 
 
 def test_two_level_amli_equals_v_cycle():
-    """With an exact coarse solve the single PCG step is exact (alpha = 1),
-    so the two-level AMLI and V-cycle coincide."""
+    """With an exact coarse solve a PCG step would be exact (alpha = 1), so
+    the two-level AMLI cycle corrects with that solve, as the V-cycle does."""
     h = build_geometric("poisson", 2)
     rng = np.random.default_rng(2)
     for _ in range(10):
@@ -69,6 +70,56 @@ def test_two_level_amli_equals_v_cycle():
         a = apply_amli(h, 2, f, P1)
         b = apply_v_cycle(h, 2, f)
         assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.fixture(scope="module", params=["poisson-k4", "jump-k5", "ua-2sweep"])
+def level2_h(request):
+    """Geometric Poisson, the jump problem (coarsest condition number about
+    2e6) and 2-sweep UA-AMG; only their two coarsest levels are used."""
+    if request.param == "poisson-k4":
+        return build_geometric("poisson", 4)
+    if request.param == "jump-k5":
+        return build_geometric("jump", 5)
+    return build_ua_amg(assemble_poisson(5)[0], smoother=SmootherSpec(sweeps=2))
+
+
+@pytest.mark.parametrize("truncation", ["full", "sd", 0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level2_amli_cycles_are_the_linear_cycles(level2_h, n, truncation):
+    """On level 2 the AMLI coarse correction is the exact coarsest solve,
+    for any inner-step count and truncation, so the AMLI cycles are the
+    V- and \\-cycles bit for bit."""
+    params = CycleParams(n_inner=n, truncation=truncation)
+    rng = np.random.default_rng(30 + n)
+    for _ in range(3):
+        f = rng.standard_normal(level2_h.level(2).A.shape[0])
+        assert np.array_equal(apply_amli(level2_h, 2, f, params),
+                              apply_v_cycle(level2_h, 2, f))
+        assert np.array_equal(apply_amli_ns(level2_h, 2, f, params),
+                              apply_backslash(level2_h, 2, f))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("apply", [apply_amli, apply_amli_ns])
+def test_level2_amli_runs_no_pcg_and_one_coarse_solve(level2_h, monkeypatch,
+                                                      apply, n):
+    calls = {"pcg": 0, "solve": 0}
+    run = mgbench.amli.run_pcg
+    solve = level2_h.coarsest_solver.solve
+
+    def counted_pcg(*args):
+        calls["pcg"] += 1
+        return run(*args)
+
+    def counted_solve(g):
+        calls["solve"] += 1
+        return solve(g)
+
+    monkeypatch.setattr(mgbench.amli, "run_pcg", counted_pcg)
+    monkeypatch.setattr(level2_h.coarsest_solver, "solve", counted_solve)
+    f = np.random.default_rng(40).standard_normal(level2_h.level(2).A.shape[0])
+    apply(level2_h, 2, f, CycleParams(n_inner=n))
+    assert calls == {"pcg": 0, "solve": 1}
 
 
 def test_pcg_direction_and_residual_orthogonality(h4):

@@ -37,31 +37,58 @@ def hierarchy():
     return mgbench.build_geometric("poisson", K)
 
 
+SIX_CYCLES = {
+    "v": lambda h, k, f, p: apply_v_cycle(h, k, f),
+    "backslash": lambda h, k, f, p: apply_backslash(h, k, f),
+    "amli": lambda h, k, f, p: apply_amli(h, k, f, p),
+    "amli-ns": lambda h, k, f, p: apply_amli_ns(h, k, f, p),
+    "amli-tilde": lambda h, k, f, p: apply_amli_tilde(h, k, f, p),
+    "amli-tilde-ns": lambda h, k, f, p: apply_amli_tilde_ns(h, k, f, p),
+}
+LINEAR = ("v", "backslash")
+
+
 @pytest.mark.parametrize("cycle,apply,n", [
-    ("v", lambda h, f, p: apply_v_cycle(h, K, f), None),
-    ("backslash", lambda h, f, p: apply_backslash(h, K, f), None),
-    ("amli", lambda h, f, p: apply_amli(h, K, f, p), 2),
-    ("amli-ns", lambda h, f, p: apply_amli_ns(h, K, f, p), 2),
-    ("amli-tilde", lambda h, f, p: apply_amli_tilde(h, K, f, p), 2),
-    ("amli-tilde-ns", lambda h, f, p: apply_amli_tilde_ns(h, K, f, p), 2),
-])
+    (cycle, apply, None if cycle in LINEAR else 2)
+    for cycle, apply in SIX_CYCLES.items()])
 def test_traced_hierarchy_is_bit_identical_and_sees_every_visit(hierarchy, cycle,
                                                                 apply, n):
+    _check_traced_apply(hierarchy, cycle, apply, n)
+
+
+WIDE_CASES = [(name, cycle, n)
+              for name in ("poisson", "jump", "ua")
+              for cycle in SIX_CYCLES
+              for n in ((None,) if cycle in LINEAR else (1, 2, 3))
+              if not (name == "poisson" and n in (None, 2))]  # the test above
+
+
+@pytest.mark.parametrize("name,cycle,n", WIDE_CASES)
+def test_traced_cycles_on_every_hierarchy_and_inner_count(name, cycle, n):
+    """The same contract on the jump and 2-sweep UA-AMG hierarchies and for
+    n = 1, 2, 3 inner steps."""
+    _check_traced_apply(_chain_hierarchy(name), cycle, SIX_CYCLES[cycle], n)
+
+
+def _check_traced_apply(h, cycle, apply, n):
+    """One apply at the top level is bit-identical traced and untraced, and
+    the traced one makes exactly the level visits of the cost model."""
+    top = h.n_levels
     params = None if n is None else CycleParams(n_inner=n)
-    f = np.random.default_rng(10).standard_normal(hierarchy.finest.A.shape[0])
-    plain = apply(hierarchy, f, params)
+    f = np.random.default_rng(10).standard_normal(h.finest.A.shape[0])
+    plain = apply(h, top, f, params)
 
     tracer = tracing.Tracer()
     with _pcg_traced(tracer):
-        traced = apply(tracing.traced_hierarchy(hierarchy, tracer), f, params)
+        traced = apply(tracing.traced_hierarchy(h, tracer), top, f, params)
 
     assert np.array_equal(traced, plain)
     seen = {k: tracer.counts.get("cycles.visits.L%d" % k, 0)
-            for k in range(1, K + 1)}
-    assert seen == checks.visits_per_apply(cycle, n, K)
+            for k in range(1, top + 1)}
+    assert seen == checks.visits_per_apply(cycle, n, top)
     # every restriction and prolongation went through the proxies
-    transfers = sum(tracer.counts.get("transfer.L%d" % k, 0) for k in range(1, K))
-    assert transfers == 2 * sum(seen[k] for k in range(2, K + 1))
+    transfers = sum(tracer.counts.get("transfer.L%d" % k, 0) for k in range(1, top))
+    assert transfers == 2 * sum(seen[k] for k in range(2, top + 1))
 
 
 @pytest.mark.parametrize("cycle,apply,per_visit", [
