@@ -88,30 +88,23 @@ def geometric_prolongator(k):
 
     Coincident coarse nodes get weight 1; fine nodes at the midpoints of
     coarse edges (horizontal, vertical, and the lower-left/upper-right
-    diagonal of each coarse cell) get 1/2 from each edge endpoint.  Written
-    directly in canonical CSR, at most two entries per fine row.
+    diagonal of each coarse cell) get 1/2 from each edge endpoint.  Every
+    coarse column holds those seven entries, so the matrix is written in CSC
+    and converted to canonical CSR, at most two entries per fine row.
     """
     if k < 2:
         raise ValueError("prolongator needs k >= 2, got %d" % k)
-    nc = 2 ** (k - 1) - 1
-    nf = 2 ** k - 1
-    # coarse columns, padded with -1 for the boundary nodes, which have none
-    padded = np.full((nc + 2, nc + 2), -1, dtype=np.int32)
-    padded[1:-1, 1:-1] = np.arange(nc * nc, dtype=np.int32).reshape(nc, nc)
-    # a fine row's entries are its lower-left and upper-right coarse
-    # neighbours: fine coordinate x lies between coarse (x-1)//2 and x//2
-    # (padded one higher), one node when x is odd
-    x = np.arange(nf)
-    lo, hi = (x + 1) // 2, x // 2 + 1
-    cols = np.stack((padded[np.ix_(lo, lo)], padded[np.ix_(hi, hi)]), axis=2)
-    keep = cols >= 0
-    keep[1::2, 1::2, 1] = False
-    indptr = np.zeros(nf * nf + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(keep, dtype=np.int32)[1::2]
-    # weight 1/2 on edge midpoints, 1 on the odd/odd rows' single entry
-    vals = np.full(indptr[-1], 0.5)
-    vals[indptr[:-1].reshape(nf, nf)[1::2, 1::2]] = 1.0
-    P = sp.csr_matrix((vals, cols[keep], indptr), shape=(nf * nf, nc * nc))
+    nc, nf = 2 ** (k - 1) - 1, 2 ** k - 1
+    # coarse node (cx, cy) is fine node (2cx + 1, 2cy + 1); in row order its
+    # column holds the fine nodes SW, S and W of it, itself, then E, N, NE
+    c = np.arange(nc, dtype=np.int32)
+    rows = np.add.outer(2 * (nf * c[:, None] + c), np.array(
+        [0, 1, nf, nf + 1, nf + 2, 2 * nf + 1, 2 * nf + 2], dtype=np.int32))
+    weights = np.full((nc * nc, 7), 0.5)
+    weights[:, 3] = 1.0
+    indptr = np.arange(0, 7 * nc * nc + 1, 7, dtype=np.int32)
+    P = sp.csc_matrix((weights.ravel(), rows.ravel(), indptr),
+                      shape=(nf * nf, nc * nc)).tocsr()
     P.has_canonical_format = True
     return P
 

@@ -7,10 +7,10 @@ eliminated, leaving the (2^k - 1)^2 interior nodes in lexicographic order
 classical 5-point stencil with diagonal 4.
 
 The stored pattern is that 5-point stencil for any coefficient: the matrix
-is assembled node by node, with no zeros stored.  The SW-NE diagonal is an
-edge of the two triangles of its cell, but in each the gradients of its
-end nodes' hat functions are orthogonal (one varies in x only, the other in
-y only), so the coupling is zero whatever the coefficient.
+is assembled node by node straight into its CSR arrays, with no zeros.  The
+SW-NE diagonal is an edge of the two triangles of its cell, but in each the
+gradients of its end nodes' hat functions are orthogonal (one varies in x
+only, the other in y only), so the coupling is zero whatever the coefficient.
 """
 from dataclasses import dataclass
 
@@ -83,17 +83,37 @@ class CoefficientField:
         return a
 
 
+def _stencil_rows(out, line, d, w, e, s, n):
+    """Write the S, W, D, E, N entries of the nodes into `out` in CSR row
+    order, leaving out neighbours on the boundary: `line` entries in the
+    first line and in the last, 5N - 2 in each other.  d, s and n are
+    indexed [y, x] by node, w and e by the edge from node x to x + 1."""
+    first, last = out[:line], out[line:][-line:]   # no last line if N = 1
+    mid = out[line:-line].reshape(-1, 5 * len(d) - 2)
+    # D E N, W D E N, ..., W D N; at N = 1 the diagonal overwrites the N
+    first[-1:], first[::4], first[1:-1:4] = n[0, -1:], d[0], e[0]
+    first[2::4], first[3::4] = n[0, :-1], w[0]
+    # S D E N, S W D E N, ..., S W D N
+    mid[:, :1], mid[:, 4::5], mid[:, 5::5] = s[1:-1, :1], s[1:-1, 1:], w[1:-1]
+    mid[:, 1::5], mid[:, 2:-1:5], mid[:, 3::5] = d[1:-1], e[1:-1], n[1:-1, :-1]
+    mid[:, -1:] = n[1:-1, -1:]
+    # S D E, S W D E, ..., S W D
+    last[:1], last[3::4], last[4::4] = s[-1, :1], s[-1, 1:], w[-1]
+    last[1::4], last[2::4] = d[-1], e[-1]
+
+
 def _assemble(mesh, coefficient):
     """Stiffness matrix over interior nodes, summed node by node from the
-    triangles' coefficients times _K_LOWER/_K_UPPER."""
+    triangles' coefficients times _K_LOWER/_K_UPPER, written straight to CSR."""
     m = mesh.cells_per_side
     h = mesh.h
     N = mesh.nodes_per_side
 
-    # coefficient at the barycenters of each cell's triangles, indexed [cy, cx]
-    x0, y0 = np.meshgrid(np.arange(m) * h, np.arange(m) * h, indexing="xy")
-    a_lo = coefficient(x0 + 2.0 * h / 3.0, y0 + h / 3.0)
-    a_up = coefficient(x0 + h / 3.0, y0 + 2.0 * h / 3.0)
+    # coefficient at the barycenters of each cell's triangles, indexed [cy, cx]:
+    # (x0 + 2h/3, y0 + h/3) for the lower one, (x0 + h/3, y0 + 2h/3) for the upper
+    thirds = np.empty((2, m, m))
+    thirds[:] = np.arange(m) * h + np.array([[[h / 3.0]], [[2.0 * h / 3.0]]])
+    a_lo, a_up = coefficient(thirds[::-1], thirds.transpose(0, 2, 1))
 
     # the diagonal sums the six triangles around node (x, y): it is NE in
     # cell (x-1, y-1)'s two, NW in cell (x, y-1)'s upper one, SE in cell
@@ -107,22 +127,21 @@ def _assemble(mesh, coefficient):
             + KL[2, 2] * a_lo[:-1, :-1] + KL[1, 1] * a_lo[1:, :-1]
             + KL[0, 0] * a_lo[1:, 1:] + KU[0, 0] * a_up[1:, 1:])
     east = KU[2, 1] * a_up[:-1, 1:-1] + KL[0, 1] * a_lo[1:, 1:-1]
-    north = KL[1, 2] * a_lo[1:-1, :-1] + KU[0, 2] * a_up[1:-1, 1:]
+    # vert[y] couples lines y - 1 and y, the boundary lines -1 and N included
+    vert = KL[1, 2] * a_lo[:, :-1] + KU[0, 2] * a_up[:, 1:]
 
-    # row entries in column order: south, west, diagonal, east, north
-    vals = np.empty((N, N, 5))
-    vals[1:, :, 0] = north
-    vals[:, 1:, 1] = east
-    vals[:, :, 2] = diag
-    vals[:, :-1, 3] = east
-    vals[:-1, :, 4] = north
-    keep = np.ones((N, N, 5), dtype=bool)
-    keep[0, :, 0] = keep[:, 0, 1] = keep[:, -1, 3] = keep[-1, :, 4] = False
+    # a row holds its diagonal and its neighbours off the boundary
     n = N * N
-    cols = (np.arange(n, dtype=np.int32).reshape(N, N, 1)
-            + np.array([-N, -1, 0, 1, N], dtype=np.int32))
-    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=2)))).astype(np.int32)
-    return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(n, n))
+    along = np.minimum(np.arange(N), 1) + np.minimum(np.arange(N)[::-1], 1)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.add.outer(along, along + 1), out=indptr[1:])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    # node numbers [y, x], with the out-of-range lines -1 and N around them
+    cols = np.arange(-N, n + N, dtype=np.int32).reshape(N + 2, N)
+    _stencil_rows(data, indptr[N], diag, east, east, vert[:-1], vert[1:])
+    _stencil_rows(indices, indptr[N], cols[1:-1], cols[1:-1, :-1],
+                  cols[1:-1, 1:], cols[:-2], cols[2:])
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def load_vector(problem, k):

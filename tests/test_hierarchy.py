@@ -8,6 +8,7 @@ from mgbench import (Aggregation, CoarseningStagnation, DENSE_LIMIT, NonSPDError
                      aggregate, as_csr, assemble_jump, assemble_poisson, a_norm,
                      build_geometric, build_ua_amg, geometric_prolongator,
                      piecewise_constant_prolongator, rap, symmetry_error)
+from test_problems import assert_canonical_csr
 
 # frozen first-run snapshots; the greedy pass is deterministic by design
 POISSON_K3_THETA008_N_AGG = 10
@@ -101,6 +102,7 @@ def test_geometric_prolongator_matches_coo_reference(k):
     assert P.format == ref.format == "csr"
     assert P.shape == ref.shape
     assert P.has_canonical_format and ref.has_canonical_format
+    assert_canonical_csr(P)
     for name in ("indptr", "indices", "data"):
         got, want = getattr(P, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -464,6 +466,7 @@ def test_piecewise_constant_prolongator_matches_coo_reference(make):
     assert P.format == ref.format == "csr"
     assert P.shape == ref.shape
     assert P.has_canonical_format and ref.has_canonical_format
+    assert_canonical_csr(P)
     for name in ("indptr", "indices", "data"):
         got, want = getattr(P, name), getattr(ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)

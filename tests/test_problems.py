@@ -62,11 +62,27 @@ def element_assembly(k, coefficient):
     return A, load_full[interior]
 
 
+def assert_canonical_csr(A):
+    """Check the CSR arrays themselves, not the has_canonical_format flag,
+    which a builder may set by hand: int32 indices and indptr, an indptr
+    rising from 0 to nnz, strictly increasing columns within each row (so
+    no duplicates) and no stored zeros."""
+    assert A.format == "csr"
+    assert A.indices.dtype == np.int32 and A.indptr.dtype == np.int32
+    assert A.indptr.size == A.shape[0] + 1 and A.indptr[0] == 0
+    assert np.all(np.diff(A.indptr) >= 0)
+    assert A.indptr[-1] == A.indices.size == A.data.size
+    starts = np.zeros(A.indices.size + 1, dtype=bool)
+    starts[A.indptr] = True
+    assert np.all((np.diff(A.indices) > 0) | starts[1:-1])
+    assert np.all((A.indices >= 0) & (A.indices < A.shape[1]))
+    assert np.all(A.data != 0.0)
+
+
 def assert_five_point_pattern(A, k):
     n = (2 ** k - 1) ** 2
-    assert A.has_canonical_format
+    assert_canonical_csr(A)
     assert A.nnz == 5 * n - 4 * (2 ** k - 1)
-    assert np.all(A.data != 0.0)
 
 
 @pytest.mark.parametrize("k", range(1, 10))
@@ -82,7 +98,7 @@ def test_poisson_equals_element_assembly(k):
     assert np.array_equal(f, ref_f)
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", range(2, 10))
 def test_jump_equals_element_assembly(k):
     A, f = assemble_jump(k)
     field = CoefficientField("jump", low_value=1e-6)
@@ -96,6 +112,31 @@ def test_jump_equals_element_assembly(k):
     # diagonals at coefficient interfaces may differ by an ulp
     assert np.all(np.abs(A.data - ref.data) <= 5e-16 * np.abs(ref.data))
     assert not f.any()
+
+
+def _broken(case):
+    """A 3x3 CSR matrix with one defect, built from raw arrays."""
+    data, indices, indptr = [2.0, -1.0, 2.0, 2.0], [0, 1, 1, 2], [0, 2, 3, 4]
+    if case == "unsorted":
+        indices = [1, 0, 1, 2]
+    elif case == "duplicate":
+        indices = [0, 0, 1, 2]
+    elif case == "zero":
+        data = [2.0, 0.0, 2.0, 2.0]
+    A = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int32),
+                       np.array(indptr, dtype=np.int32)), shape=(3, 3))
+    if case == "int64":
+        A.indices = A.indices.astype(np.int64)
+        A.indptr = A.indptr.astype(np.int64)
+    A.has_canonical_format = True      # the flag proves nothing
+    return A
+
+
+def test_canonical_check_reads_the_arrays():
+    assert_canonical_csr(_broken("none"))
+    for case in ("unsorted", "duplicate", "zero", "int64"):
+        with pytest.raises(AssertionError):
+            assert_canonical_csr(_broken(case))
 
 
 def test_level_one_single_unknown():
