@@ -6,59 +6,72 @@ compose the error propagator, i.e. s sweeps give I - (I - RA)^s A-solve
 behaviour.  The symmetrized composite is defined through
 I - Rt_comp A = (I - R A)(I - R^t A).
 
-Gauss-Seidel scales its triangle once per level, when it is bound: it
-stores D^-1 and the unit lower triangle M = (D+L) D^-1, so that each sweep
-is one unit-triangular solve and a diagonal scaling.  The backward sweep
-solves with M^t = D^-1 (D + L^t), which is D^-1 (D+U) only for symmetric A:
-apply_transpose relies on A being symmetric, as every matrix the package
+Each Gauss-Seidel sweep is one kernel call, with no pass to scale by D^-1:
+both triangles are prepared once per level, when the smoother is bound.
+The backward sweep solves with D + L^t, which is D + U only for symmetric
+A: apply_transpose relies on A being symmetric, as every matrix the package
 builds is.
 
-At or below DENSE_GS_LIMIT unknowns M is kept as a dense Fortran-order
-array and each sweep is one BLAS dtrsv call (the backward sweep with
-trans=1).  On these small levels, which the AMLI cycles visit most, even
-the sparse solve's fixed cost of about 10 us per call dwarfs the
-arithmetic: a 9-unknown sweep takes 2-3 us dense, a 225-unknown one
-10-12 us.  dtrsv's cost grows with the n^2 dense entries, so above the
-limit (see DENSE_GS_LIMIT for the measured crossover) the sweep is sparse.
+Where (bw + 1) n, with bw the lower bandwidth, is at most BAND_GS_LIMIT,
+D + L and D + L^t are stored in LAPACK band layout, each in its own array,
+and a sweep is one BLAS dtbsv call (lower for the forward sweep, upper for
+the backward one, non-unit diagonal in both).  These are the small levels
+the AMLI cycles visit most, where the sparse solve's fixed cost of about
+5 us per call dwarfs the arithmetic: a 49-unknown sweep takes 1-2 us on
+the band, a 961-unknown one 15 us against 20 us sparse.  Reading a band
+costs (bw + 1) n, so it stops paying near bw = 64 (see BAND_GS_LIMIT for
+the measured crossover).  One stored band, transposed by dtbsv, would do
+for both sweeps, but the transposed solve takes two to three times as
+long (48-54 against 17-25 us at 961 unknowns).
 
-The sparse sweep calls SuperLU's triangular solve (_superlu.gstrs) directly,
-as L = M with an empty U: trans "N" solves with M, trans "T" with M^t, so
-both sweeps use the one stored triangle.  spsolve_triangular ends in the
-same call, with bit-identical results, but first re-prepares the triangle
-on every call: it sets the diagonal M already has, builds an empty U,
-casts the index arrays and checks for duplicates.  Preparing those
-arguments once, at bind time, cuts a forward/backward sweep from 100/130
-to 23/19 us at 961 unknowns and from 2080/2170 to 1120/1020 us at 65025
-(2-core Xeon VM, Poisson matrices).
+Larger levels call SuperLU's triangular solve (_superlu.gstrs) directly,
+with D + L = M D stored as SuperLU stores its factors: L = M, the unit
+lower triangle (D+L) D^-1, with D on its diagonal where SuperLU keeps U's
+diagonal, and an empty U.  Its U-solve divides by that diagonal, so trans
+"N" returns D^-1 M^-1 f, the forward sweep, and trans "T" returns
+M^-t D^-1 f, the backward one: both sweeps use the one stored triangle.
+The arguments are prepared once, at bind time, where spsolve_triangular
+re-prepares the triangle on every call (it sets the diagonal, builds an
+empty U, casts the index arrays and checks for duplicates).  That cut a
+forward/backward sweep from 100/130 to 23/19 us at 961 unknowns and from
+2080/2170 to 1120/1020 us at 65025 (2-core Xeon VM, Poisson matrices).
+At 261121 unknowns a sweep takes about 6.5 ms, 25 ns per row; gstrs takes
+at least as long on an identity triangle, so the cost is SuperLU's own, not
+the arithmetic.
 Factoring M with splu(permc_spec="NATURAL") solves about as fast, but its
-factor step adds 55-75 ms to the setup at 261121 unknowns (the table-1
-setup is about 0.5 s) and keeps SuperLU's workspace resident; spilu drops
-entries of M.
+factor step adds 55-75 ms to the setup at 261121 unknowns and keeps
+SuperLU's workspace resident; spilu drops entries of M.
 """
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dtrsv
+from scipy.linalg.blas import dtbsv
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 
-from .linalg import power_method, spmv
+from .linalg import as_csr, power_method, spmv
 
-# Largest level whose Gauss-Seidel triangle is stored dense.  Measured on a
-# 2-core Xeon VM (OpenBLAS, one thread; principal submatrices of the k=6
-# Poisson and jump matrices and UA-AMG levels; forward+backward us per call,
-# dense vs the direct sparse solve): 225 unknowns 18-23 vs 22-25, 961: 320-360
-# vs 70.  In between the two cost the same within the VM's run-to-run noise
-# (25-45 us each at 289-400 unknowns).  The limit sits low in that band, and
-# keeps the 319-unknown level of the 16129-unknown UA-AMG hierarchy dense.
-DENSE_GS_LIMIT = 320
+# Largest (bw + 1) n, with bw the lower bandwidth, whose Gauss-Seidel
+# triangles are stored as bands.  A band sweep costs about 0.25-0.35 ns per
+# band entry, the sparse one about 15-20 ns per row plus 5 us per call, so
+# the band stops paying near bw = 50-90.  Measured on a 2-core Xeon VM
+# (OpenBLAS, one thread; forward/backward us per call, band vs sparse):
+#
+#   level                     n     bw   (bw+1) n    band       sparse
+#   Poisson k = 5            961    31     30752    15/16      22/20
+#   UA-AMG (Poisson k = 8)  1247    30     38657    20/21      36/26
+#   UA-AMG (Poisson k = 7)  2720    44    122400    42/43      80/45
+#   Poisson k = 7, first    1000   127    128000    33/50      25/36
+#     rows                  1500   127    192000    45/42      33/27
+#   Poisson k = 6           3969    63    254016    82/79      68/60
+#   Poisson k = 7          16129   127   2064512   771/885    261/224
+#
+# 2^17 keeps every level of at most 320 unknowns ((bw+1) n <= 320^2) and
+# the k = 5 and UA-AMG levels up to 2720 unknowns on the band, and gives
+# the 3969-unknown level, a tie, to the sparse sweep.
+BAND_GS_LIMIT = 2 ** 17
 
 KINDS = ("gs", "jacobi", "richardson")
-
-# dtrsv's optional arguments by position (incx, offx, lower, trans, diag,
-# overwrite_x): f2py parses them in about half the time of keywords
-_DTRSV_FORWARD = (1, 0, 1, 0, 1)        # M u = f, unit lower triangle
-_DTRSV_BACKWARD = (1, 0, 1, 1, 1, 1)    # M^t u = f, in place
 
 
 @dataclass(frozen=True)
@@ -79,11 +92,40 @@ class SmootherSpec:
                              % (self.kind, self.weight))
 
 
-def _unit_lower_csc(A, inv_d):
-    """M = (D+L) D^-1 as a canonical CSC matrix (CSC is what gstrs takes).
+def _lower_bandwidth(C):
+    """max_i (i - first column of row i) of a canonical CSR matrix whose
+    rows all hold their diagonal: O(n), one entry per row."""
+    first = C.indices.take(C.indptr[:-1])
+    return int((np.arange(len(first), dtype=first.dtype) - first).max())
 
-    Scales the columns of A's CSC form by inv_d, zeroes the entries above
-    the diagonal, sets the diagonal to 1 and drops every zero at once.  The
+
+def _bands(C, bw):
+    """The (D+L) and (D+L^t) triangles of a canonical CSR matrix in LAPACK
+    band layout (Fortran order, so dtbsv takes them without a copy).
+
+    Column j of the lower band holds (D+L)[j:j+bw+1, j] from row 0 down;
+    column j of the upper band holds (D+L^t)[j-bw:j+1, j], ending on row bw.
+    Both come from A's lower entries (i, j, a_ij), i >= j: a_ij is
+    (D+L)[i, j] and (D+L^t)[j, i].
+    """
+    n = C.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(C.indptr))
+    low = C.indices <= rows
+    i, j, a = rows[low], C.indices[low], C.data[low]
+    lower = np.zeros((bw + 1, n), order="F")
+    upper = np.zeros((bw + 1, n), order="F")
+    lower[i - j, j] = a
+    upper[bw + j - i, i] = a
+    return lower, upper
+
+
+def _unit_lower_csc(A, d):
+    """M = (D+L) D^-1 off the diagonal and D on it, as a canonical CSC matrix.
+
+    This is SuperLU's own storage for the factors of D + L = M D: L's unit
+    diagonal is implied, and the diagonal entries stored with L are U's.
+    Scales the columns of A's CSC form by 1/d, zeroes the entries above the
+    diagonal, puts d on the diagonal and drops every zero at once.  The
     result has the entries, in the same order, of sp.tril(A, format="csc")
     scaled the same way, without tril's round trip through COO.
     """
@@ -91,33 +133,45 @@ def _unit_lower_csc(A, inv_d):
     C.sum_duplicates()
     counts = np.diff(C.indptr)
     cols = np.repeat(np.arange(C.shape[1], dtype=C.indices.dtype), counts)
-    C.data *= np.repeat(inv_d, counts)
+    # a second repeat: the gather (1/d)[cols] made a geometric k = 9 build
+    # 6.7 ms slower
+    C.data *= np.repeat(1.0 / d, counts)
     C.data[C.indices < cols] = 0.0
-    C.data[C.indices == cols] = 1.0
+    C.data[C.indices == cols] = d     # one diagonal entry per column
     C.eliminate_zeros()
     # eliminate_zeros can leave views of the full-size arrays; keep only M
     return C.copy()
 
 
 class BoundSmoother:
-    """SmootherSpec bound to a concrete matrix, with its scaled triangle or scaling."""
+    """SmootherSpec bound to a concrete matrix, with its triangles or scaling."""
 
     def __init__(self, A, spec):
         self.A = A
         self.spec = spec
+        n = A.shape[0]
+        self._shape = (n,)
         d = A.diagonal()
         if np.any(d == 0.0):
             raise ValueError("zero diagonal entry at index %d"
                              % int(np.argmin(d != 0.0)))
         self._one_gs_sweep = spec.kind == "gs" and spec.sweeps == 1
         if spec.kind == "gs":
-            self._inv_d = 1.0 / d
-            M = _unit_lower_csc(A, self._inv_d)
-            n = A.shape[0]
-            self._dense = n <= DENSE_GS_LIMIT
-            if self._dense:
-                self._unit_lower = M.toarray(order="F")
-            else:
+            # no band can fit when n alone exceeds the limit; only smaller
+            # levels pay for reading the bandwidth
+            self._band = None
+            if n <= BAND_GS_LIMIT:
+                # as_csr would re-check the canonical format of a CSR input
+                # in O(nnz); hierarchy levels have it cached
+                canonical = (sp.issparse(A) and A.format == "csr"
+                             and A.has_canonical_format)
+                C = A if canonical else as_csr(A)
+                bw = _lower_bandwidth(C)
+                if (bw + 1) * n <= BAND_GS_LIMIT:
+                    self._bw = bw
+                    self._band = _bands(C, bw)
+            if self._band is None:
+                M = _unit_lower_csc(A, d)
                 # gstrs arguments: L = M, then an empty U
                 self._triangle = (n, M.nnz, M.data,
                                   M.indices.astype(np.intc, copy=False),
@@ -131,26 +185,34 @@ class BoundSmoother:
             self._scale = spec.weight / rho
 
     def _checked(self, f):
-        """f as a float array, after the length check."""
+        """f as a float vector, after the shape check."""
         f = np.asarray(f, float)
-        if f.shape[0] != self.A.shape[0]:
-            raise ValueError("dimension mismatch: smoother has %d unknowns, "
-                             "vector has length %d" % (self.A.shape[0], f.shape[0]))
+        if f.shape != self._shape:
+            n = self._shape[0]
+            if f.ndim == 1:
+                raise ValueError("dimension mismatch: smoother has %d unknowns, "
+                                 "vector has length %d" % (n, f.shape[0]))
+            raise ValueError("dimension mismatch: smoother has %d unknowns and "
+                             "takes one vector, got an array of shape %s"
+                             % (n, f.shape))
         return f
 
     def _forward(self, f):
-        """One forward Gauss-Seidel sweep, D^-1 M^-1 f."""
-        if self._dense:
-            return self._inv_d * dtrsv(self._unit_lower, f, *_DTRSV_FORWARD)
-        # gstrs returns a new array and leaves b alone; its info flags only
-        # illegal arguments
-        return self._inv_d * gstrs("N", *self._triangle, f)[0]
+        """One forward Gauss-Seidel sweep, (D+L)^-1 f."""
+        if self._band is not None:
+            # positional (incx, offx, lower): f2py parses them faster than
+            # keywords; trans and diag keep their defaults, 0
+            return dtbsv(self._bw, self._band[0], f, 1, 0, 1)
+        # L-solve with M, then U-solve with D: D^-1 M^-1 f.  gstrs returns
+        # a new array and leaves b alone; its info flags only illegal
+        # arguments
+        return gstrs("N", *self._triangle, f)[0]
 
     def _backward(self, f):
-        """One backward Gauss-Seidel sweep, M^-t D^-1 f."""
-        if self._dense:
-            return dtrsv(self._unit_lower, self._inv_d * f, *_DTRSV_BACKWARD)
-        return gstrs("T", *self._triangle, self._inv_d * f)[0]
+        """One backward Gauss-Seidel sweep, (D+L^t)^-1 f = M^-t D^-1 f."""
+        if self._band is not None:
+            return dtbsv(self._bw, self._band[1], f)
+        return gstrs("T", *self._triangle, f)[0]
 
     def _single(self, f, transpose):
         if self.spec.kind != "gs":

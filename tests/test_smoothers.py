@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -185,34 +187,67 @@ def check_gs_variable_diagonal(A, rng):
 
 
 def test_gs_variable_diagonal_jump_matrix():
-    A, _ = assemble_jump(4)    # 225 unknowns: the dense path
+    A, _ = assemble_jump(4)    # 225 unknowns: the band path
     assert np.ptp(A.diagonal()) > 0.0
+    assert bind(A, GS)._band is not None
     check_gs_variable_diagonal(A, np.random.default_rng(6))
 
 
-def test_gs_variable_diagonal_jump_matrix_sparse_path():
-    A, _ = assemble_jump(5)    # 961 unknowns: above DENSE_GS_LIMIT
-    assert A.shape[0] > smoothers.DENSE_GS_LIMIT
+def test_gs_variable_diagonal_jump_matrix_sparse_path(monkeypatch):
+    A, _ = assemble_jump(5)    # 961 unknowns, on the sparse path
+    monkeypatch.setattr(smoothers, "BAND_GS_LIMIT", 0)
+    assert bind(A, GS)._band is None
     check_gs_variable_diagonal(A, np.random.default_rng(6))
 
 
-def test_gs_dense_and_sparse_paths_agree_at_the_limit(monkeypatch):
-    n = smoothers.DENSE_GS_LIMIT
-    A = as_csr(assemble_jump(5)[0][:n, :n])    # principal submatrix: SPD
-    assert np.ptp(A.diagonal()) > 0.0
-    rng = np.random.default_rng(9)
+def check_band_and_sparse_agree(A, monkeypatch, rng, vectors):
+    """The band path, as bound, against the sparse one, bound with the
+    limit set to 0."""
+    n = A.shape[0]
     for sweeps in (1, 2):
         spec = SmootherSpec("gs", sweeps=sweeps)
-        dense = bind(A, spec)
-        monkeypatch.setattr(smoothers, "DENSE_GS_LIMIT", n - 1)
+        band = bind(A, spec)
+        monkeypatch.setattr(smoothers, "BAND_GS_LIMIT", 0)
         sparse = bind(A, spec)
         monkeypatch.undo()
-        assert dense._dense and not sparse._dense
-        for _ in range(3):
+        assert band._band is not None and sparse._band is None
+        for _ in range(vectors):
             f = rng.standard_normal(n)
-            for got, ref in ((dense.apply(f), sparse.apply(f)),
-                             (dense.apply_transpose(f), sparse.apply_transpose(f))):
+            kept = f.copy()
+            for got, ref in ((band.apply(f), sparse.apply(f)),
+                             (band.apply_transpose(f), sparse.apply_transpose(f))):
                 assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+            assert np.array_equal(f, kept)
+
+
+def test_gs_band_and_sparse_paths_agree_at_the_limit(monkeypatch):
+    # the first 2048 rows of the k = 6 jump matrix have bandwidth 63, so
+    # (bw + 1) n is the limit itself; one unknown more is the sparse path
+    n = smoothers.BAND_GS_LIMIT // 64
+    A = as_csr(assemble_jump(6)[0][:n, :n])    # principal submatrix: SPD
+    assert smoothers._lower_bandwidth(A) == 63
+    assert np.ptp(A.diagonal()) > 0.0
+    check_band_and_sparse_agree(A, monkeypatch, np.random.default_rng(9), 3)
+    B = as_csr(assemble_jump(6)[0][:n + 1, :n + 1])
+    assert bind(B, GS)._band is None
+
+
+def test_gs_zero_bandwidth_gives_f_over_d(monkeypatch):
+    # the 1-unknown coarsest Poisson level and a diagonal matrix: both
+    # sweeps on both paths are f/d exactly
+    rng = np.random.default_rng(13)
+    for A in (build_geometric("poisson", 3).levels[0].A,
+              as_csr(sp.diags([2.0, 3.0, 7.0]).tocsr())):
+        d = A.diagonal()
+        f = rng.standard_normal(A.shape[0])
+        band = bind(A, GS)
+        monkeypatch.setattr(smoothers, "BAND_GS_LIMIT", 0)
+        sparse = bind(A, GS)
+        monkeypatch.undo()
+        assert band._bw == 0 and sparse._band is None
+        for sm in (band, sparse):
+            assert np.array_equal(sm.apply(f), f / d)
+            assert np.array_equal(sm.apply_transpose(f), f / d)
 
 
 def test_gs_variable_diagonal_ua_coarse_level():
@@ -244,29 +279,59 @@ def test_gs_variable_diagonal_generated_m_matrix(A):
     check_gs_variable_diagonal(A, np.random.default_rng(8))
 
 
-# The sparse sweep calls SuperLU's triangular solve directly.  The public
-# spsolve_triangular ends in the same call, so it is an exact reference.
+# The sparse sweep calls SuperLU's triangular solve directly, with D folded
+# into the triangle's diagonal.  A scalar loop in SuperLU's own order is an
+# exact reference; spsolve_triangular, which scales by D^-1 in a separate
+# pass, agrees to round-off.
 
-def tril_unit_lower(A):
-    """M = (D+L) D^-1 through sp.tril, the reference for _unit_lower_csc."""
-    inv_d = 1.0 / A.diagonal()
+def tril_reference(A):
+    """(D+L) D^-1 with D on its diagonal, through sp.tril: the reference for
+    _unit_lower_csc."""
+    d = A.diagonal()
     M = sp.tril(A, format="csc")
-    M.data *= np.repeat(inv_d, np.diff(M.indptr))
+    M.data *= np.repeat(1.0 / d, np.diff(M.indptr))
     M.eliminate_zeros()
-    M.setdiag(1.0)
+    M.setdiag(d)
     return M
 
 
-def spsolve_gs(A, f, sweeps, transpose):
-    """s sweeps of the scaled-triangle Gauss-Seidel through spsolve_triangular."""
-    inv_d = 1.0 / A.diagonal()
-    M = tril_unit_lower(A)
+def superlu_order_gs(A, f, sweeps, transpose):
+    """s sweeps of the folded-triangle Gauss-Seidel by scalar loops that
+    round as SuperLU's column-oriented solves do."""
+    d = A.diagonal()
+    M = tril_reference(A)
+    cols = [(M.indices[M.indptr[j]:M.indptr[j + 1]],
+             M.data[M.indptr[j]:M.indptr[j + 1]]) for j in range(A.shape[0])]
 
     def single(r):
-        if transpose:
-            return spsolve_triangular(M.T, inv_d * r, lower=False,
-                                      unit_diagonal=True)
-        return inv_d * spsolve_triangular(M, r, lower=True, unit_diagonal=True)
+        z = r.copy()
+        if transpose:      # U^t y = r with U = D, then M^t x = y
+            z /= d
+            for j in reversed(range(len(cols))):
+                for i, m in zip(*cols[j]):
+                    if i > j:
+                        z[j] -= z[i] * m
+            return z
+        for j, (rows, vals) in enumerate(cols):    # M z = r, then D x = z
+            for i, m in zip(rows, vals):
+                if i > j:
+                    z[i] -= z[j] * m
+        return z / d
+
+    u = single(f)
+    for _ in range(sweeps - 1):
+        u = u + single(f - A @ u)
+    return u
+
+
+def spsolve_gs(A, f, sweeps, transpose):
+    """s sweeps of Gauss-Seidel through spsolve_triangular."""
+    T = sp.tril(A, format="csr")
+    if transpose:
+        T = T.T.tocsr()
+
+    def single(r):
+        return spsolve_triangular(T, r, lower=not transpose)
 
     u = single(f)
     for _ in range(sweeps - 1):
@@ -275,8 +340,8 @@ def spsolve_gs(A, f, sweeps, transpose):
 
 
 def assert_unit_lower_matches_tril(A):
-    got = smoothers._unit_lower_csc(A, 1.0 / A.diagonal())
-    ref = tril_unit_lower(A)
+    got = smoothers._unit_lower_csc(A, A.diagonal())
+    ref = tril_reference(A)
     assert type(got) is sp.csc_matrix
     assert np.array_equal(got.indptr, ref.indptr)
     assert np.array_equal(got.indices, ref.indices)
@@ -298,6 +363,17 @@ def test_unit_lower_matches_tril_on_jump_matrices(k):
     assert_unit_lower_matches_tril(assemble_jump(k)[0])
 
 
+def reference_bands(A, bw):
+    """The lower (D+L) and upper (D+L^t) bands of A read off its dense form."""
+    Ad = np.tril(A.toarray())
+    n = Ad.shape[0]
+    lower, upper = np.zeros((bw + 1, n)), np.zeros((bw + 1, n))
+    for i, j in zip(*np.nonzero(Ad)):
+        lower[i - j, j] = Ad[i, j]
+        upper[bw + j - i, i] = Ad[i, j]
+    return lower, upper
+
+
 def test_unit_lower_drops_zeros_and_keeps_input():
     # explicit zeros below the diagonal, an unsorted row and a duplicate
     A = sp.csr_matrix((np.array([4.0, 0.0, -1.0, 2.0, -1.0, 3.0, 0.0, 5.0, 1.0]),
@@ -306,6 +382,13 @@ def test_unit_lower_drops_zeros_and_keeps_input():
     assert not A.has_canonical_format
     kept = (A.data.copy(), A.indices.copy(), A.indptr.copy())
     assert_unit_lower_matches_tril(A)
+    # the band build sums the duplicate (2, 1) and sorts row 2; its explicit
+    # zero at (2, 0) stays in the bandwidth
+    sm = bind(A, GS)
+    assert sm._bw == 2
+    for got, ref in zip(sm._band, reference_bands(A, 2)):
+        assert got.flags.f_contiguous
+        assert np.array_equal(got, ref)
     assert all(np.array_equal(a, b) for a, b in
                zip((A.data, A.indices, A.indptr), kept))
 
@@ -319,25 +402,27 @@ def test_unit_lower_matches_tril_on_generated_m_matrices(A):
 def check_sparse_gs_exact(A, rng):
     for sweeps in (1, 2):
         sm = bind(A, SmootherSpec("gs", sweeps=sweeps))
-        assert not sm._dense
+        assert sm._band is None
         for _ in range(2):
             f = rng.standard_normal(A.shape[0])
             kept = f.copy()
-            assert np.array_equal(sm.apply(f), spsolve_gs(A, f, sweeps, False))
-            assert np.array_equal(sm.apply_transpose(f),
-                                  spsolve_gs(A, f, sweeps, True))
+            for transpose, got in ((False, sm.apply(f)),
+                                   (True, sm.apply_transpose(f))):
+                assert np.array_equal(got, superlu_order_gs(A, f, sweeps, transpose))
+                ref = spsolve_gs(A, f, sweeps, transpose)
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
             assert np.array_equal(f, kept)
 
 
 def test_sparse_gs_equals_spsolve_triangular_jump_matrix():
-    A, _ = assemble_jump(5)    # 961 unknowns
+    A, _ = assemble_jump(6)    # 3969 unknowns
     check_sparse_gs_exact(A, np.random.default_rng(10))
 
 
 def test_sparse_gs_equals_spsolve_triangular_ua_level():
     h = build_ua_amg(assemble_poisson(8)[0])
     A = next(h.level(k).A for k in range(1, h.n_levels + 1)
-             if h.level(k).A.shape[0] == 1247)
+             if h.level(k).A.shape[0] == 10943)
     assert np.ptp(A.diagonal()) > 0.0
     check_sparse_gs_exact(A, np.random.default_rng(11))
 
@@ -346,33 +431,40 @@ def test_sparse_gs_equals_spsolve_triangular_ua_level():
 @given(A=spd_m_matrices())
 def test_sparse_gs_equals_spsolve_triangular_generated_m_matrix(A):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(smoothers, "DENSE_GS_LIMIT", A.shape[0] - 1)
+        check_band_and_sparse_agree(A, mp, np.random.default_rng(12), 2)
+        mp.setattr(smoothers, "BAND_GS_LIMIT", 0)
         check_sparse_gs_exact(A, np.random.default_rng(12))
 
 
 def test_sparse_gs_rejects_wrong_length():
-    A, _ = assemble_jump(5)
+    A, _ = assemble_jump(6)
     sm = bind(A, GS)
-    assert not sm._dense
+    assert sm._band is None
     for n in (A.shape[0] - 1, A.shape[0] + 1):
         for sweep in (sm.apply, sm.apply_transpose):
             with pytest.raises(ValueError):
                 sweep(np.ones(n))
 
 
-@pytest.mark.parametrize("k,spec,dense", [(3, GS, True), (5, GS, False),
-                                          (3, SmootherSpec("jacobi", 0.8), None),
-                                          (3, SmootherSpec("richardson", 0.8), None)])
-def test_smoother_rejects_wrong_length(k, spec, dense):
-    # dense GS (49 unknowns), sparse GS (961), Jacobi and Richardson; each
-    # wrong length used to broadcast or fail inside BLAS
+@pytest.mark.parametrize("k,spec,band", [(3, GS, True), (6, GS, False),
+                                         (3, SmootherSpec("jacobi", 0.8), None),
+                                         (3, SmootherSpec("richardson", 0.8), None)])
+def test_smoother_rejects_wrong_length(k, spec, band):
+    # band GS (49 unknowns), sparse GS (3969), Jacobi and Richardson; each
+    # wrong length used to broadcast or fail inside BLAS, and an n x s
+    # block used to be scaled along the wrong axis, silently, or to fail
+    # in a numpy broadcast
     A, _ = assemble_poisson(k)
     sm = bind(A, spec)
     n = A.shape[0]
-    if dense is not None:
-        assert sm._dense == dense
-    for m in (1, n - 1, n + 1):
+    if band is not None:
+        assert (sm._band is not None) == band
+    wrong = [((m,), r"\b%d unknowns, vector has length %d\b" % (n, m))
+             for m in (1, n - 1, n + 1)]
+    wrong += [(shape, r"\b%d unknowns and takes one vector, got an array of "
+                      r"shape %s" % (n, re.escape(str(shape))))
+              for shape in ((n, 1), (n, 2), (2, n), ())]
+    for shape, message in wrong:
         for method in (sm.apply, sm.apply_transpose, sm.composite):
-            with pytest.raises(ValueError, match=r"\b%d unknowns, vector has length %d\b"
-                                                 % (n, m)):
-                method(np.ones(m))
+            with pytest.raises(ValueError, match=message):
+                method(np.ones(shape))
