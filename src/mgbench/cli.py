@@ -21,7 +21,7 @@ from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
 from .hierarchy import DEFAULT_MAX_LEVELS, DEFAULT_MIN_COARSE, DEFAULT_THETA, \
     build_geometric, build_ua_amg, require_coarsening
 from .linalg import DENSE_LIMIT
-from .problems import MAX_LEVEL, assemble_poisson, load_vector
+from .problems import MAX_LEVEL, assemble_jump, assemble_poisson, load_vector
 from .smoothers import SmootherSpec
 from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, require_samples, rng_for, \
     run_suite
@@ -34,6 +34,13 @@ CYCLES = {
     "amli-ns": ("Bhat_ns", apply_amli_ns, True),
     "amli-tilde": ("Btilde", apply_amli_tilde, True),
     "amli-tilde-ns": ("Btilde_ns", apply_amli_tilde_ns, True),
+}
+
+# --problem -> (matrix, coarsened by UA-AMG: rows keyed by size, from level 1)
+FAMILIES = {
+    "poisson": ("poisson", False),
+    "jump": ("jump", False),
+    "ua_poisson": ("poisson", True),
 }
 
 
@@ -108,16 +115,17 @@ def _columns(cycles, npcg, truncation):
 
 def build_problem(problem, k, smoother=None, theta=DEFAULT_THETA,
                   min_coarse=DEFAULT_MIN_COARSE, max_levels=DEFAULT_MAX_LEVELS):
-    """System matrix A, right-hand side f and hierarchy of one problem family
-    at mesh level k; theta, min_coarse and max_levels shape only the
-    ua_poisson (UA-AMG) hierarchy.  The geometric families assemble A once,
-    as the finest level of their hierarchy."""
-    if problem == "ua_poisson":
-        A, f = assemble_poisson(k)
+    """System matrix A, right-hand side f and hierarchy of one FAMILIES
+    entry at mesh level k; theta, min_coarse and max_levels shape only a
+    UA-AMG hierarchy.  The geometric families assemble A once, as the
+    finest level of their hierarchy."""
+    matrix, ua = FAMILIES[problem]
+    if ua:
+        A, f = {"poisson": assemble_poisson, "jump": assemble_jump}[matrix](k)
         return A, f, build_ua_amg(A, theta=theta, min_coarse=min_coarse,
                                   max_levels=max_levels, smoother=smoother)
-    h = build_geometric(problem, k, smoother=smoother)
-    return h.finest.A, load_vector(problem, k), h
+    h = build_geometric(matrix, k, smoother=smoother)
+    return h.finest.A, load_vector(matrix, k), h
 
 
 def run_experiment(config):
@@ -133,7 +141,7 @@ def run_experiment(config):
     coarsening = {key: config[key] for key in ("theta", "min_coarse", "max_levels")
                   if key in config}
 
-    if problem == "ua_poisson":
+    if FAMILIES[problem][1]:
         row_keys = [(size_to_level(s), s) for s in config["sizes"]]
     else:
         row_keys = [(k, k) for k in config["k_range"]]
@@ -142,9 +150,9 @@ def run_experiment(config):
     for k, label in row_keys:
         A, f, h = build_problem(problem, k, smoother, **coarsening)
         u0, u_exact, tol_kind = None, None, "rel_residual"
-        if problem == "jump":
-            # random start with u* = 0; the energy of the start sets the
-            # decades the solver must traverse before |u|_A <= tol
+        if not f.any():
+            # f = 0, so u* = 0: a random start, whose energy sets the decades to
+            # traverse; the stream keeps the jump name so tables stay byte-identical
             u0 = rng_for(seed, "jump_u0_k%d" % k).standard_normal(A.shape[0])
             u_exact = np.zeros(A.shape[0])
             tol_kind = "energy_error"
@@ -202,8 +210,7 @@ def _add_common(p, handler):
 
 
 def _add_problem(p):
-    p.add_argument("--problem", choices=["poisson", "jump", "ua_poisson"],
-                   default="poisson")
+    p.add_argument("--problem", choices=list(FAMILIES), default="poisson")
     p.add_argument("--levels", type=parse_int_list, default=None,
                    help="e.g. 5..9 or 5,7")
     p.add_argument("--size", type=parse_int_list, default=None,
@@ -249,10 +256,10 @@ def build_parser():
 
 
 def row_levels(args, default, ua_default):
-    """Mesh levels of the rows: for ua_poisson --size wins, else --levels,
-    else the problem's default.  A size other than (2^k - 1)^2 and a level
-    the family cannot build are usage errors."""
-    ua = args.problem == "ua_poisson"
+    """Mesh levels of the rows: for a UA-AMG family --size wins, else
+    --levels, else the family's default.  A size other than (2^k - 1)^2 and
+    a level the family cannot build are usage errors."""
+    _, ua = FAMILIES[args.problem]
     levels = args.levels if args.levels is not None else \
         (ua_default if ua else default)
     if ua and args.size is not None:
@@ -274,7 +281,7 @@ def _usage(args, check, *values):
 
 
 def cmd_run(args):
-    # ua_poisson default: sizes 3969, 16129, 65025
+    # UA-AMG default: sizes 3969, 16129, 65025
     levels = row_levels(args, [5, 6, 7, 8, 9], [6, 7, 8])
     # the settings run_experiment builds, built once first to check them
     _usage(args, SmootherSpec, args.smoother, args.weight, args.sweeps)
@@ -282,7 +289,7 @@ def cmd_run(args):
     _usage(args, require_coarsening, args.theta, args.min_coarse, args.max_levels)
     _usage(args, require_stopping, args.tol, args.max_iter)
     config = dict(vars(args), truncation=args.truncate, cycles=args.cycle)
-    if args.problem == "ua_poisson":
+    if FAMILIES[args.problem][1]:
         config["sizes"] = [(2 ** k - 1) ** 2 for k in levels]
         row_header = "size"
     else:
@@ -306,7 +313,7 @@ def cmd_verify(args):
             args.parser.error("level %d needs a dense coarse operator of %d "
                               "unknowns, above the dense limit %d"
                               % (k, n_coarse, DENSE_LIMIT))
-    h = build_geometric("poisson", max(max(args.levels), 2))
+    _, _, h = build_problem("poisson", max(max(args.levels), 2))
     reports = run_suite(h, args.levels, args.samples, args.seed)
     print("name,passed,measured,tolerance,samples")
     for rep in reports:
@@ -315,7 +322,9 @@ def cmd_verify(args):
 
 
 def cmd_hierarchy(args):
-    k = row_levels(args, [5], [6])[0]
+    k, *rest = row_levels(args, [5], [6])
+    if rest:
+        args.parser.error("hierarchy takes one level or size, got %d" % (1 + len(rest)))
     _usage(args, require_coarsening, args.theta, args.min_coarse, args.max_levels)
     _, _, h = _usage(args, build_problem, args.problem, k, None, args.theta,
                      args.min_coarse, args.max_levels)

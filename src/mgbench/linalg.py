@@ -18,12 +18,13 @@ class NonSPDError(ValueError):
 def as_csr(A):
     """Return A as a canonical CSR matrix (sorted indices, no duplicates).
 
-    A CSR input shares its arrays with the result, so a non-canonical one is
-    copied first and the caller's matrix is left as it was."""
+    A canonical csr_matrix comes back itself, with its cached format flag; a
+    non-canonical input is copied before it is sorted, leaving the caller's."""
+    if type(A) is sp.csr_matrix and A.has_canonical_format:
+        return A
     B = sp.csr_matrix(A)
     if not B.has_canonical_format:
-        if sp.issparse(A) and A.format == "csr":
-            B = B.copy()
+        B = B.copy()
         B.sum_duplicates()
     return B
 

@@ -146,8 +146,8 @@ def _assemble(mesh, coefficient):
 
 def load_vector(problem, k):
     """Right-hand side of a model problem at level k: the f = 1 load of
-    'poisson' (which 'ua_poisson' solves too), the zero load of 'jump'."""
-    if problem not in ("poisson", "ua_poisson", "jump"):
+    'poisson', the zero load of 'jump'."""
+    if problem not in ("poisson", "jump"):
         raise ValueError("unknown problem %r" % problem)
     mesh = MeshLevel(k)
     if problem == "jump":

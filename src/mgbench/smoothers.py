@@ -161,11 +161,7 @@ class BoundSmoother:
             # levels pay for reading the bandwidth
             self._band = None
             if n <= BAND_GS_LIMIT:
-                # as_csr would re-check the canonical format of a CSR input
-                # in O(nnz); hierarchy levels have it cached
-                canonical = (sp.issparse(A) and A.format == "csr"
-                             and A.has_canonical_format)
-                C = A if canonical else as_csr(A)
+                C = as_csr(A)
                 bw = _lower_bandwidth(C)
                 if (bw + 1) * n <= BAND_GS_LIMIT:
                     self._bw = bw

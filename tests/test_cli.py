@@ -10,8 +10,8 @@ import mgbench.cli
 import mgbench.problems
 from mgbench import (DENSE_LIMIT, PCGBreakdownError, SolveReport, assemble_jump,
                      assemble_poisson)
-from mgbench.cli import (build_parser, build_problem, emit_table, main,
-                         parse_int_list, parse_truncation, run_experiment,
+from mgbench.cli import (FAMILIES, build_parser, build_problem, emit_table,
+                         main, parse_int_list, parse_truncation, run_experiment,
                          size_to_level)
 
 
@@ -145,8 +145,9 @@ def test_parsed_defaults(monkeypatch, capsys):
     assert built == [("poisson", 5), ("ua_poisson", 6)]
 
 
-@pytest.mark.parametrize("problem, k", [("poisson", 4), ("jump", 4),
-                                        ("ua_poisson", 5)])
+# a UA-AMG family at k = 5, so that it aggregates twice
+@pytest.mark.parametrize("problem, k", [(problem, 5 if ua else 4)
+                                        for problem, (_, ua) in FAMILIES.items()])
 def test_build_problem_assembles_the_finest_matrix_once(problem, k, monkeypatch):
     # geometric hierarchies assemble every coarser mesh too; only the
     # finest mesh counts
@@ -158,7 +159,8 @@ def test_build_problem_assembles_the_finest_matrix_once(problem, k, monkeypatch)
     A, f, h = build_problem(problem, k)
     assert calls.count(k) == 1
     assert np.shares_memory(h.finest.A.data, A.data)
-    A_ref, f_ref = (assemble_jump if problem == "jump" else assemble_poisson)(k)
+    matrix, _ = FAMILIES[problem]
+    A_ref, f_ref = (assemble_jump if matrix == "jump" else assemble_poisson)(k)
     for name in ("indptr", "indices", "data"):
         got, want = getattr(A, name), getattr(A_ref, name)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -253,6 +255,60 @@ def test_ua_rows_keyed_by_size(capsys):
     assert lines[1].startswith("961,")
 
 
+# exact stdout of each family's table and hierarchy report; the jump run
+# pins the seeded random start and the energy stop.  A FAMILIES row with no
+# entry here fails test_family_golden_output
+GOLDEN = {
+    "poisson": {
+        "run --problem poisson --levels 2..4":
+            "k,V,Bhat_npcg1,Bhat_npcg2,Btilde_npcg1,Btilde_npcg2\n"
+            "2,8,8,8,6,3\n"
+            "3,10,9,9,7,3\n"
+            "4,11,9,8,8,3\n",
+        "hierarchy --problem poisson":
+            "level  dimension  nonzeros\n"
+            "    1          1         1\n"
+            "    2          9        33\n"
+            "    3         49       217\n"
+            "    4        225      1065\n"
+            "    5        961      4681\n"
+            "operator complexity: 1.281\n",
+    },
+    "jump": {
+        "run --problem jump --levels 3..4 --cycle v,amli,amli-tilde --npcg 2 "
+        "--seed 20240501":
+            "k,V,Bhat_npcg2,Btilde_npcg2\n"
+            "3,21,21,5\n"
+            "4,29,19,5\n",
+        "hierarchy --problem jump":
+            "level  dimension  nonzeros\n"
+            "    1          9        33\n"
+            "    2         49       217\n"
+            "    3        225      1065\n"
+            "    4        961      4681\n"
+            "operator complexity: 1.281\n",
+    },
+    "ua_poisson": {
+        "run --problem ua_poisson --size 961 --sweeps 2":
+            "size,V,Bhat_npcg1,Bhat_npcg2,Btilde_npcg1,Btilde_npcg2\n"
+            "961,57,33,33,18,8\n",
+        "hierarchy --problem ua_poisson":
+            "level  dimension  nonzeros\n"
+            "    1         15        75\n"
+            "    2         92       570\n"
+            "    3        687      4537\n"
+            "    4       3969     19593\n"
+            "operator complexity: 1.264\n",
+    },
+}
+
+
+@pytest.mark.parametrize("problem", list(FAMILIES))
+def test_family_golden_output(problem, capsys):
+    for command, expected in GOLDEN[problem].items():
+        assert run_cli(command.split(), capsys) == (0, expected), command
+
+
 def test_hierarchy_subcommand(capsys):
     code, out = run_cli(["hierarchy", "--problem", "ua_poisson",
                          "--size", "961"], capsys)
@@ -336,6 +392,9 @@ def test_config_key_naming_no_flag_is_usage_error(tmp_path, monkeypatch,
     ("run --problem ua_poisson --levels 13", "level 13"),
     ("run --problem ua_poisson --size 4000", "size 4000"),
     ("hierarchy --levels 13", "level 13"),
+    ("hierarchy --levels 3,4", "one level or size, got 2"),
+    ("hierarchy --problem ua_poisson --size 961,3969,16129",
+     "one level or size, got 3"),
     ("run --levels 9..5", "'9..5'"),
     ("verify --levels 9..5", "'9..5'"),
 ])

@@ -268,3 +268,10 @@ def test_as_csr_shares_a_canonical_csr_input():
     B = as_csr(A)
     assert np.shares_memory(B.data, A.data)
     assert np.shares_memory(B.indices, A.indices)
+    # a canonical csr_matrix comes back itself, with its cached format flag;
+    # other canonical inputs come back as a new csr_matrix
+    assert B is A
+    for other in (sp.csr_array(A), A.tocoo()):
+        C = as_csr(other)
+        assert type(C) is sp.csr_matrix and C is not other
+        assert C.has_canonical_format and (C != A).nnz == 0

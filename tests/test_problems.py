@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from mgbench import (CoefficientField, DenseFactorization, MeshLevel,
                      assemble_jump, assemble_poisson, geometric_prolongator,
                      rap, symmetry_error)
-from mgbench.problems import _K_LOWER, _K_UPPER
+from mgbench.problems import _K_LOWER, _K_UPPER, load_vector
 
 
 def five_point_stencil(k):
@@ -180,6 +180,14 @@ def test_jump_load_is_zero():
     for k in (2, 3, 5):
         _, f = assemble_jump(k)
         assert not f.any()
+
+
+def test_load_vector_takes_matrix_names_only():
+    # a --problem family such as ua_poisson is not a matrix name
+    for problem, assemble in (("poisson", assemble_poisson), ("jump", assemble_jump)):
+        assert np.array_equal(load_vector(problem, 3), assemble(3)[1])
+    with pytest.raises(ValueError, match="'ua_poisson'"):
+        load_vector("ua_poisson", 3)
 
 
 def test_jump_rejects_unresolvable_level():
