@@ -9,12 +9,10 @@ from .hierarchy import (Aggregation, CoarseningStagnation, Hierarchy, Level,
                         aggregate, build_geometric, build_ua_amg,
                         geometric_prolongator, piecewise_constant_prolongator)
 from .linalg import (DENSE_LIMIT, DenseFactorization, NonSPDError, a_norm,
-                     as_csr, power_method, rap, spectral_radius, spmv,
-                     symmetry_error)
+                     as_csr, rap, spectral_radius, spmv, symmetry_error)
 from .problems import (CoefficientField, MeshLevel, assemble_jump,
                        assemble_poisson)
-from .smoothers import (BoundSmoother, SmootherSpec, bind,
-                        measure_smoothing_constant)
+from .smoothers import BoundSmoother, SmootherSpec, bind
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

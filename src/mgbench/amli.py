@@ -241,24 +241,20 @@ def require_stopping(tol, max_iter):
         raise ValueError("max_iter must be >= 1, got %d" % max_iter)
 
 
-def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
-                     max_iter=2000, u_exact=None):
+def stationary_solve(operator, A, f, u0=None, tol=1e-6, max_iter=2000,
+                     u_exact=None):
     """Iterate u <- u + operator(f - A u) until the stopping criterion holds.
 
-    tol_kind 'rel_residual' stops when ||f - A u|| <= tol * ||f||; tol_kind
-    'energy_error' stops when ||u - u_exact||_A <= tol (absolute) and
-    requires u_exact.  The report's status names the exit: 'converged',
-    'max_iter' (max_iter iterations without meeting tol), 'diverged' (the
-    residual grew by 1e6 over its starting value), 'nonfinite' (the
-    residual or energy error became inf or NaN) or 'breakdown' (the
-    operator raised PCGBreakdownError; the iterate before that call stands).
-    tol and max_iter are checked first (require_stopping).
+    Given u_exact, it stops when ||u - u_exact||_A <= tol (absolute);
+    otherwise when ||f - A u|| <= tol * ||f||.  The report's status names
+    the exit: 'converged', 'max_iter' (max_iter iterations without meeting
+    tol), 'diverged' (the residual grew by 1e6 over its starting value),
+    'nonfinite' (the residual or energy error became inf or NaN) or
+    'breakdown' (the operator raised PCGBreakdownError; the iterate before
+    that call stands).  tol and max_iter are checked first
+    (require_stopping).
     """
     require_stopping(tol, max_iter)
-    if tol_kind not in ("rel_residual", "energy_error"):
-        raise ValueError("unknown tol_kind %r" % tol_kind)
-    if tol_kind == "energy_error" and u_exact is None:
-        raise ValueError("energy_error stopping requires u_exact")
     f = np.asarray(f, float)
     u = np.zeros_like(f) if u0 is None else np.asarray(u0, float).copy()
     if u.shape[0] != A.shape[0]:
@@ -279,7 +275,7 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, tol_kind="rel_residual",
     start = residual_history[0]
 
     def monitored():
-        if tol_kind == "rel_residual":
+        if energy_history is None:
             return residual_history[-1] / f_scale
         return energy_history[-1]
 

@@ -149,13 +149,12 @@ def run_experiment(config):
     rows = []
     for k, label in row_keys:
         A, f, h = build_problem(problem, k, smoother, **coarsening)
-        u0, u_exact, tol_kind = None, None, "rel_residual"
+        u0, u_exact = None, None
         if not f.any():
             # f = 0, so u* = 0: a random start, whose energy sets the decades to
             # traverse; the stream keeps the jump name so tables stay byte-identical
             u0 = rng_for(seed, "jump_u0_k%d" % k).standard_normal(A.shape[0])
             u_exact = np.zeros(A.shape[0])
-            tol_kind = "energy_error"
 
         row = []
         for _name, fn, extra in cols:
@@ -163,8 +162,7 @@ def run_experiment(config):
                 return fn(h, h.n_levels, r, *extra)
             try:
                 report = stationary_solve(op, A, f, u0=u0, tol=tol,
-                                          tol_kind=tol_kind, max_iter=max_iter,
-                                          u_exact=u_exact)
+                                          max_iter=max_iter, u_exact=u_exact)
             except Exception as exc:
                 raise RuntimeError("solve failed at row %s, column %s: %s"
                                    % (label, _name, exc)) from exc
@@ -214,7 +212,8 @@ def _add_problem(p):
     p.add_argument("--levels", type=parse_int_list, default=None,
                    help="e.g. 5..9 or 5,7")
     p.add_argument("--size", type=parse_int_list, default=None,
-                   help="ua_poisson sizes, e.g. 3969,16129")
+                   help="sizes, for the UA-AMG families (%s), e.g. 3969,16129"
+                   % ", ".join(f for f, (_, ua) in FAMILIES.items() if ua))
     p.add_argument("--theta", type=float, default=DEFAULT_THETA)
     p.add_argument("--min-coarse", type=int, default=DEFAULT_MIN_COARSE)
     p.add_argument("--max-levels", type=int, default=DEFAULT_MAX_LEVELS)
@@ -256,13 +255,18 @@ def build_parser():
 
 
 def row_levels(args, default, ua_default):
-    """Mesh levels of the rows: for a UA-AMG family --size wins, else
-    --levels, else the family's default.  A size other than (2^k - 1)^2 and
-    a level the family cannot build are usage errors."""
+    """Mesh levels of the rows: --size (UA-AMG families only), else --levels,
+    else the family's default.  --size with --levels, a size other than
+    (2^k - 1)^2 and a level the family cannot build are usage errors."""
     _, ua = FAMILIES[args.problem]
+    if args.size is not None and not ua:
+        args.parser.error("--size applies only to the UA-AMG families, not "
+                          "to problem %s" % args.problem)
+    if args.size is not None and args.levels is not None:
+        args.parser.error("--levels and --size both given; give one of them")
     levels = args.levels if args.levels is not None else \
         (ua_default if ua else default)
-    if ua and args.size is not None:
+    if args.size is not None:
         levels = [_usage(args, size_to_level, s) for s in args.size]
     lowest = 1 if ua else 2
     for k in levels:

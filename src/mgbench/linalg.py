@@ -150,34 +150,26 @@ class DenseFactorization:
         raise ValueError("illegal value in argument %d of potrs" % -info)
 
 
-def power_method(A, tol=1e-8, maxiter=500):
-    """Estimate the dominant eigenpair of symmetric A by power iteration.
+def spectral_radius(A):
+    """rho(A) of symmetric A by power iteration: the magnitude of the last
+    Rayleigh quotient, once two successive ones agree to 1e-8 (relative)
+    or after 500 iterations.
 
     Starts from the all-ones vector plus a small deterministic perturbation
     (an exactly constant start can be orthogonal to the dominant mode).
-    Returns (rayleigh_quotient, eigenvector_estimate, converged).
     """
     n = A.shape[0]
     x = np.ones(n) + 1e-3 * np.cos(np.arange(n))
     x /= np.linalg.norm(x)
     rho = 0.0
-    converged = False
-    for _ in range(maxiter):
+    for _ in range(500):
         y = A @ x
         rho_new = float(np.dot(x, y))
         ny = np.linalg.norm(y)
         if ny == 0.0:
-            return 0.0, x, True
+            return 0.0
         x = y / ny
-        if abs(rho_new - rho) < tol * abs(rho_new):
-            rho = rho_new
-            converged = True
-            break
+        if abs(rho_new - rho) < 1e-8 * abs(rho_new):
+            return abs(rho_new)
         rho = rho_new
-    return rho, x, converged
-
-
-def spectral_radius(A):
-    """Power-iteration estimate of rho(A) for symmetric A (last Rayleigh quotient)."""
-    rho, _, _ = power_method(A)
     return abs(rho)

@@ -1,10 +1,9 @@
-"""Smoothers R, their adjoints R^t, and the symmetrized composite.
+"""Smoothers R and their adjoints R^t.
 
 Kinds: 'gs' (forward Gauss-Seidel, (D+L)^-1; adjoint is backward GS),
 'jacobi' (omega D^-1) and 'richardson' (omega/rho(A) I).  Multiple sweeps
 compose the error propagator, i.e. s sweeps give I - (I - RA)^s A-solve
-behaviour.  The symmetrized composite is defined through
-I - Rt_comp A = (I - R A)(I - R^t A).
+behaviour.
 
 Each Gauss-Seidel sweep is one kernel call, with no pass to scale by D^-1:
 both triangles are prepared once per level, when the smoother is bound.
@@ -49,7 +48,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 
-from .linalg import as_csr, power_method, spmv
+from .linalg import as_csr, spectral_radius, spmv
 
 # Largest (bw + 1) n, with bw the lower bandwidth, whose Gauss-Seidel
 # triangles are stored as bands.  A band sweep costs about 0.25-0.35 ns per
@@ -177,8 +176,7 @@ class BoundSmoother:
         elif spec.kind == "jacobi":
             self._scale = spec.weight / d
         else:  # richardson
-            rho, _, _ = power_method(A)
-            self._scale = spec.weight / rho
+            self._scale = spec.weight / spectral_radius(A)
 
     def _checked(self, f):
         """f as a float vector, after the shape check."""
@@ -237,59 +235,7 @@ class BoundSmoother:
             return self._backward(f)
         return self._sweeps(f, True)
 
-    def composite(self, v):
-        """Symmetrized composite: (R + R^t - R A R^t) v."""
-        x = self.apply_transpose(v)
-        return x + self.apply(v - self.A @ x)
-
 
 def bind(A, spec):
     return BoundSmoother(A, spec)
 
-
-def measure_smoothing_constant(A, spec, samples=100, seed=20240501):
-    """Estimate c2 = rho(A) * min_v (Rt_comp v, v)/(v, v) by sampling.
-
-    The sample set is `samples` random unit vectors plus extremal Rayleigh
-    candidates from power iteration: the dominant eigenvector of A and an
-    estimate of the minimizing eigenvector of the composite smoother
-    (obtained by power iteration on a shifted composite).  The result is a
-    measured estimate of the smoothing-property constant, not a certified
-    infimum.
-    """
-    smoother = bind(A, spec)
-    n = A.shape[0]
-    rho_a, v_max, _ = power_method(A)
-
-    rng = np.random.default_rng(seed)
-    candidates = [v_max]
-
-    # power iteration on (sigma I - Rt_comp) homes in on the minimizing mode
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(50):
-        y = smoother.composite(x)
-        sigma = max(sigma, float(np.dot(x, y)))
-        x = y / np.linalg.norm(y)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    for _ in range(200):
-        y = sigma * x - smoother.composite(x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            break
-        x = y / ny
-    candidates.append(x)
-
-    for _ in range(samples):
-        v = rng.standard_normal(n)
-        candidates.append(v / np.linalg.norm(v))
-
-    worst = np.inf
-    for v in candidates:
-        q = float(np.dot(smoother.composite(v), v)) / float(np.dot(v, v))
-        if q < 0.0:
-            raise RuntimeError("smoother not A-convergent: (Rt_comp v, v) = %.3e < 0" % q)
-        worst = min(worst, q)
-    return rho_a * worst

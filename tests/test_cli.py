@@ -397,11 +397,28 @@ def test_config_key_naming_no_flag_is_usage_error(tmp_path, monkeypatch,
      "one level or size, got 3"),
     ("run --levels 9..5", "'9..5'"),
     ("verify --levels 9..5", "'9..5'"),
+    ("run --problem poisson --size 49", "--size applies only to the UA-AMG"),
+    ("run --problem jump --size 961", "not to problem jump"),
+    ("hierarchy --problem poisson --size 49", "not to problem poisson"),
+    ("run --problem ua_poisson --levels 7 --size 961", "--levels and --size"),
+    ("hierarchy --problem ua_poisson --levels 7 --size 961",
+     "--levels and --size"),
 ])
 def test_out_of_range_levels_and_sizes_are_usage_errors(command, named,
                                                          monkeypatch, capsys):
     _forbid_building(monkeypatch)
     assert named in _usage_error(command.split(), capsys)
+
+
+@pytest.mark.parametrize("command", ["run", "hierarchy"])
+def test_config_size_with_levels_flag_is_usage_error(command, tmp_path,
+                                                     monkeypatch, capsys):
+    _forbid_building(monkeypatch)
+    cfg = tmp_path / "size.cfg"
+    cfg.write_text("problem = ua_poisson\nsize = 961\n")
+    error = _usage_error([command, "--config", str(cfg), "--levels", "7"],
+                         capsys)
+    assert "--levels and --size" in error
 
 
 def test_ua_poisson_level_one_still_runs(capsys):

@@ -3,8 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from mgbench import (DenseFactorization, NonSPDError, a_norm, as_csr,
-                     assemble_poisson, linalg, power_method, rap,
-                     spectral_radius, spmv, symmetry_error)
+                     assemble_poisson, linalg, rap, spectral_radius, spmv,
+                     symmetry_error)
 
 RNG = np.random.default_rng(20240501)
 
@@ -241,9 +241,7 @@ def test_spectral_radius_diagonal():
 def test_spectral_radius_poisson_vs_dense_eig():
     A, _ = assemble_poisson(3)
     exact = np.linalg.eigvalsh(A.toarray()).max()
-    rho, _vec, converged = power_method(A)
-    assert converged
-    assert rho == pytest.approx(exact, rel=1e-6)
+    assert spectral_radius(A) == pytest.approx(exact, rel=1e-6)
 
 
 def test_symmetry_flag_tolerance():

@@ -9,7 +9,7 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from mgbench import (SmootherSpec, a_norm, as_csr, assemble_jump,
                      assemble_poisson, bind, build_geometric, build_ua_amg,
-                     measure_smoothing_constant, smoothers, spectral_radius)
+                     smoothers)
 
 A22 = as_csr(sp.csr_matrix(np.array([[4.0, -1.0], [-1.0, 4.0]])))
 GS = SmootherSpec("gs")
@@ -58,40 +58,6 @@ def test_adjoint_pair_identity(kind, weight):
         assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
 
 
-def test_composite_on_scaled_identity():
-    # A = 2I, Jacobi w=1: Rt_comp = R + R^t - R A R^t = I/2
-    A = as_csr(2.0 * sp.identity(3, format="csr"))
-    spec = SmootherSpec("jacobi", weight=1.0)
-    v = np.array([2.0, -4.0, 6.0])
-    assert np.allclose(bind(A, spec).composite(v), v / 2.0)
-
-
-@pytest.mark.parametrize("kind", ["gs", "jacobi"])
-def test_composite_matches_error_propagator_definition(kind):
-    A, _ = assemble_poisson(3)
-    spec = SmootherSpec(kind, weight=0.7)
-    sm = bind(A, spec)
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        v = rng.standard_normal(A.shape[0])
-        w = v - sm.apply_transpose(A @ v)
-        rhs = w - sm.apply(A @ w)              # (I - RA)(I - R^t A) v
-        lhs = v - sm.composite(A @ v)
-        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(v)
-
-
-def test_composite_is_self_adjoint_and_positive():
-    A, _ = assemble_poisson(3)
-    sm = bind(A, GS)
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        v, w = rng.standard_normal(A.shape[0]), rng.standard_normal(A.shape[0])
-        lhs = np.dot(sm.composite(v), w)
-        rhs = np.dot(v, sm.composite(w))
-        assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), abs(rhs))
-        assert np.dot(sm.composite(v), v) > 0.0
-
-
 @pytest.mark.parametrize("kind,weight", [("gs", 1.0), ("jacobi", 0.7)])
 def test_smoother_is_a_convergent(kind, weight):
     spec = SmootherSpec(kind, weight=weight)
@@ -102,29 +68,6 @@ def test_smoother_is_a_convergent(kind, weight):
         for _ in range(25):
             v = rng.standard_normal(A.shape[0])
             assert a_norm(A, v - sm.apply(A @ v)) < a_norm(A, v)
-
-
-def test_measure_constant_positive_for_richardson():
-    A, _ = assemble_poisson(3)
-    c2 = measure_smoothing_constant(A, SmootherSpec("richardson", 1.0))
-    assert c2 > 0.0
-
-
-def test_measure_constant_close_to_dense_oracle():
-    A, _ = assemble_poisson(3)
-    n = A.shape[0]
-    sm = bind(A, GS)
-    comp = np.column_stack([sm.composite(col) for col in np.eye(n)])
-    lam_min = np.linalg.eigvalsh((comp + comp.T) / 2.0).min()
-    oracle = spectral_radius(A) * lam_min
-    measured = measure_smoothing_constant(A, GS)
-    assert measured == pytest.approx(oracle, rel=0.10)
-
-
-def test_measure_constant_stable_across_levels():
-    vals = [measure_smoothing_constant(assemble_poisson(k)[0], GS)
-            for k in (3, 4, 5, 6)]
-    assert max(vals) / min(vals) < 1.5
 
 
 def test_sweeps_compose_the_error_propagator():
@@ -465,6 +408,6 @@ def test_smoother_rejects_wrong_length(k, spec, band):
                       r"shape %s" % (n, re.escape(str(shape))))
               for shape in ((n, 1), (n, 2), (2, n), ())]
     for shape, message in wrong:
-        for method in (sm.apply, sm.apply_transpose, sm.composite):
+        for method in (sm.apply, sm.apply_transpose):
             with pytest.raises(ValueError, match=message):
                 method(np.ones(shape))

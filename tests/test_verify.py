@@ -6,14 +6,14 @@ import scipy.sparse as sp
 
 import mgbench.verify
 from mgbench import (CycleParams, SmootherSpec, assemble_poisson, bind,
-                     build_geometric, build_ua_amg, measure_smoothing_constant,
-                     required_n)
+                     build_geometric, build_ua_amg, required_n,
+                     spectral_radius)
 from mgbench.verify import (CheckReport, check_approximation_constant,
                             check_comparison_suite,
                             check_error_representation,
                             check_smoothed_projection_bound,
                             check_two_grid_factor, rng_for, run_suite,
-                            _coarse_projector, _two_grid_model)
+                            _coarse_projector, _pencil_top, _two_grid_model)
 
 
 @pytest.fixture(scope="module")
@@ -214,10 +214,40 @@ def test_eta_consistent_with_constant_ratio_richardson():
     spec = SmootherSpec("richardson", 1.0)
     h = build_geometric("poisson", 4, smoother=spec)
     c1 = check_approximation_constant(h, 4).measured["c1_hat"]
-    c2 = measure_smoothing_constant(h.level(4).A, spec)
+    c2 = _smoothing_constant(h, 4)
     eta = check_smoothed_projection_bound(h, 4).measured["eta_hat"]
     ratio = eta / (c1 / c2)
     assert 0.25 <= ratio <= 4.0
+
+
+def _smoothing_constant(h, k):
+    """c2 = rho(A) / lambda_max(A^2, A - F^t A F) on the two-grid model,
+    F = I - R A.  As A - F^t A F = A (R + R^t - R^t A R) A, this is rho(A)
+    times the least eigenvalue of R + R^t - R^t A R, which is that of the
+    composite R + R^t - R A R^t when R is symmetric or, for Gauss-Seidel,
+    when A's diagonal is constant (the two are R^t D R and R D R^t)."""
+    A, _S, F = _two_grid_model(h, k)
+    return spectral_radius(h.level(k).A) / _pencil_top(A @ A, A - F.T @ A @ F)[0]
+
+
+@pytest.mark.parametrize("kind, weight", [("gs", 1.0), ("jacobi", 0.7)])
+@pytest.mark.parametrize("k", [3, 4])
+def test_smoothing_constant_matches_dense_composite(kind, weight, k):
+    h = build_geometric("poisson", k, smoother=SmootherSpec(kind, weight))
+    lv = h.level(k)
+    eye = np.eye(lv.A.shape[0])
+    R = np.column_stack([lv.smoother.apply(e) for e in eye])
+    Rt = np.column_stack([lv.smoother.apply_transpose(e) for e in eye])
+    composite = R + Rt - R @ lv.A.toarray() @ Rt
+    lam_min = np.linalg.eigvalsh((composite + composite.T) * 0.5)[0]
+    oracle = spectral_radius(lv.A) * lam_min
+    assert _smoothing_constant(h, k) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_smoothing_constant_stable_across_levels():
+    vals = [_smoothing_constant(build_geometric("poisson", k), k)
+            for k in (3, 4, 5)]
+    assert max(vals) / min(vals) < 1.5
 
 
 @pytest.mark.parametrize("k", [2, 3])
