@@ -13,6 +13,16 @@ level 2 that PCG would be preconditioned by the exact solve A_1^{-1}, and
 its first step (alpha = 1) is A_1^{-1} g, so every cycle takes the coarsest
 solve itself there, as the K-cycle does.  Restriction is the prolongator
 transpose, which each level stores once (Level.R).
+
+Iterates are updated in place: u += c makes the same additions in the same
+order as u = u + c, so no result changes, and a cycle holds up to one
+full-size vector fewer at its peak (run_pcg forms its iterate on return,
+see there).  That relies on a contract: the smoother's apply and
+apply_transpose and the coarsest solver's solve each return a new array
+that shares no memory with its input.  Every BoundSmoother path and
+DenseFactorization.solve does so, and so every cycle returns an array of
+its own.  Nothing updates f, a residual or a search direction in place:
+PcgState keeps them.
 """
 import math
 from dataclasses import dataclass, field
@@ -79,11 +89,16 @@ def run_pcg(A, precond, f, params):
 
     The AMLI cycles call this thousands of times on small levels, so its own
     work is kept low.  Residuals are stored uncopied: r is only ever rebound,
-    never updated in place, and r_0 is a copy of f.  The first iterate is
-    alpha_0 p_0 itself rather than 0 + alpha_0 p_0, which can differ only in
-    the sign of an exact zero.  Inner products are x.dot(y), the kernel
-    np.dot ends in without np.dot's dispatch, and norms sqrt(r.r), as
-    np.linalg.norm computes them.  The state is built once, on return.
+    never updated in place, and r_0 is a copy of f.  The iterate is formed
+    on return from the stored directions: alpha_0 p_0, a new array, then
+    each later alpha_i p_i added into it in place, the additions of
+    u_{i+1} = u_i + alpha_i p_i in their order.  So no iterate is held
+    while the preconditioner runs, where a cycle's own arrays and the
+    sparse solver's workspace peak.  Starting from alpha_0 p_0 rather than
+    0 + alpha_0 p_0 can differ only in the sign of an exact zero.  Inner
+    products are x.dot(y), the kernel np.dot ends in without np.dot's
+    dispatch, and norms sqrt(r.r), as np.linalg.norm computes them.  The
+    state is built once, on return.
     """
     f = np.asarray(f, float)
     if f.shape[0] != A.shape[0]:
@@ -97,7 +112,7 @@ def run_pcg(A, precond, f, params):
         return PcgState(np.zeros_like(f), r, directions, residuals)
 
     trunc = params.truncation
-    u = None
+    alphas = []
     for i in range(params.n_inner):
         if i and math.sqrt(r.dot(r)) <= RESIDUAL_EXIT_REL * f_norm:
             break
@@ -117,10 +132,13 @@ def run_pcg(A, precond, f, params):
         if p_energy <= BREAKDOWN_REL * float(p.dot(p)):
             raise PCGBreakdownError("PCG breakdown: zero-energy direction")
         alpha = float(r.dot(p)) / p_energy
-        u = alpha * p if u is None else u + alpha * p
+        alphas.append(alpha)
         r = r - alpha * Ap
         directions.append((p, Ap, p_energy))
         residuals.append(r)
+    u = alphas[0] * directions[0][0]
+    for alpha, (p, _ap, _energy) in zip(alphas[1:], directions[1:]):
+        u += alpha * p
     return PcgState(u, r, directions, residuals)
 
 
@@ -153,23 +171,28 @@ def _visit(h, k, f, symmetric, params):
     each of level 1 h.coarsest_solver.solve, and each inner PCG goes
     through this module's run_pcg, so that a wrapper bound to that name
     sees it.  Level 2 corrects with one level-1 visit in every cycle; the
-    module docstring says why that is the AMLI correction too."""
+    module docstring says why that is the AMLI correction too.
+
+    The pre-smoothed iterate u = R f is a new array (the module docstring
+    states that contract), so the prolongated correction and the
+    post-smoothing step are added into it: u += P c, then
+    u += R^t (f - A u)."""
     if k == 1:
         return h.coarsest_solver.solve(f)
     lv = h.levels[k - 1]
     coarser = h.levels[k - 2]
-    u1 = lv.smoother.apply(f)
-    g = spmv(coarser.R, f - spmv(lv.A, u1))
+    u = lv.smoother.apply(f)
+    g = spmv(coarser.R, f - spmv(lv.A, u))
     if params is None or k == 2:
         coarse = _visit(h, k - 1, g, symmetric, None)
     else:
         def precond(rr):
             return _visit(h, k - 1, rr, symmetric, params)
         coarse = run_pcg(coarser.A, precond, g, params).iterate
-    u2 = u1 + spmv(coarser.P_to_finer, coarse)
-    if not symmetric:
-        return u2
-    return u2 + lv.smoother.apply_transpose(f - spmv(lv.A, u2))
+    u += spmv(coarser.P_to_finer, coarse)
+    if symmetric:
+        u += lv.smoother.apply_transpose(f - spmv(lv.A, u))
+    return u
 
 
 def apply_backslash(h, k, f):
@@ -252,7 +275,8 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, max_iter=2000,
     'nonfinite' (the residual or energy error became inf or NaN) or
     'breakdown' (the operator raised PCGBreakdownError; the iterate before
     that call stands).  tol and max_iter are checked first
-    (require_stopping).
+    (require_stopping).  u is a copy of u0 (or zeros), so each correction is
+    added into it in place; neither f nor u0 is changed.
     """
     require_stopping(tol, max_iter)
     f = np.asarray(f, float)
@@ -291,7 +315,7 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, max_iter=2000,
     exit_status = None
     while status() == "max_iter" and iterations < max_iter:
         try:
-            u = u + operator(r)
+            u += operator(r)
         except PCGBreakdownError:
             exit_status = "breakdown"
             break

@@ -21,7 +21,7 @@ from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
 from .hierarchy import DEFAULT_MAX_LEVELS, DEFAULT_MIN_COARSE, DEFAULT_THETA, \
     build_geometric, build_ua_amg, require_coarsening
 from .linalg import DENSE_LIMIT
-from .problems import MAX_LEVEL, assemble_jump, assemble_poisson, load_vector
+from .problems import MAX_LEVEL, assemble, load_vector
 from .smoothers import SmootherSpec
 from .verify import DEFAULT_SAMPLES, DEFAULT_SEED, require_samples, rng_for, \
     run_suite
@@ -121,7 +121,7 @@ def build_problem(problem, k, smoother=None, theta=DEFAULT_THETA,
     finest level of their hierarchy."""
     matrix, ua = FAMILIES[problem]
     if ua:
-        A, f = {"poisson": assemble_poisson, "jump": assemble_jump}[matrix](k)
+        A, f = assemble(matrix, k)
         return A, f, build_ua_amg(A, theta=theta, min_coarse=min_coarse,
                                   max_levels=max_levels, smoother=smoother)
     h = build_geometric(matrix, k, smoother=smoother)

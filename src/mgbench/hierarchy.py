@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .linalg import DENSE_LIMIT, DenseFactorization, _galerkin, as_csr, rap
-from .problems import MAX_LEVEL, assemble_jump, assemble_poisson
+from .problems import MATRICES, MAX_LEVEL, assemble
 from .smoothers import SmootherSpec, bind
 
 DEFAULT_THETA = 0.08
@@ -122,18 +122,17 @@ def build_geometric(problem, k_max, smoother=None):
     single level-1 node cannot represent the coefficient regions, which
     stalls the island near-kernel modes.
     """
-    if problem not in ("poisson", "jump"):
+    if problem not in MATRICES:
         raise ValueError("unknown problem %r" % problem)
     if smoother is None:
         smoother = SmootherSpec()
     if not 2 <= k_max <= MAX_LEVEL:
         raise ValueError("need 2 <= k_max <= %d, got %d" % (MAX_LEVEL, k_max))
 
-    assemble = assemble_poisson if problem == "poisson" else assemble_jump
     mesh_levels = list(range(1 if problem == "poisson" else 2, k_max + 1))
     levels = []
     for k in mesh_levels:
-        A, _ = assemble(k)
+        A, _ = assemble(problem, k)
         P = geometric_prolongator(k + 1) if k < k_max else None
         levels.append(Level(A=A, P_to_finer=P, smoother=bind(A, smoother)))
     return Hierarchy(levels=levels,

@@ -136,6 +136,9 @@ class DenseFactorization:
         self._potrs, = sla.get_lapack_funcs(("potrs",), (self._factor,))
 
     def solve(self, f):
+        """A^-1 f, as a new array that shares no memory with f (potrs
+        solves in a copy, and the refinement forms a new sum), so that every
+        cycle returns an array of its own."""
         f = np.asarray(f, float)
         if f.shape[0] != self.dimension:
             raise ValueError("dimension mismatch: factorization is %d, "

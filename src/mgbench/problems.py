@@ -19,6 +19,10 @@ import scipy.sparse as sp
 
 MAX_LEVEL = 12
 
+# the model problems' matrices: the constant-coefficient Laplacian and the
+# jump coefficient
+MATRICES = ("poisson", "jump")
+
 # local stiffness (coefficient 1) for the two right triangles of a cell:
 # lower (v0, v1, v2) = (SW, SE, NE), upper (v0, v2, v3) = (SW, NE, NW)
 _K_LOWER = 0.5 * np.array([[1.0, -1.0, 0.0],
@@ -147,7 +151,7 @@ def _assemble(mesh, coefficient):
 def load_vector(problem, k):
     """Right-hand side of a model problem at level k: the f = 1 load of
     'poisson', the zero load of 'jump'."""
-    if problem not in ("poisson", "jump"):
+    if problem not in MATRICES:
         raise ValueError("unknown problem %r" % problem)
     mesh = MeshLevel(k)
     if problem == "jump":
@@ -177,3 +181,16 @@ def assemble_jump(k, low=1e-6):
                          "(coefficient regions not resolvable at k=%d)" % k)
     A = _assemble(MeshLevel(k), CoefficientField("jump", low_value=low))
     return A, load_vector("jump", k)
+
+
+def assemble(matrix, k):
+    """Stiffness matrix and load vector of one of MATRICES at level k.
+
+    The assembler is looked up by name when called, so a wrapper bound to
+    mgbench.problems.assemble_poisson or assemble_jump sees every build that
+    comes through here: build_geometric's levels and the CLI's UA-AMG
+    systems.
+    """
+    if matrix not in MATRICES:
+        raise ValueError("unknown problem %r" % matrix)
+    return (assemble_poisson if matrix == "poisson" else assemble_jump)(k)

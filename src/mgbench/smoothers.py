@@ -220,16 +220,21 @@ class BoundSmoother:
         return u
 
     def apply(self, f):
-        """R f.  The cycles call apply and apply_transpose once per level
-        visit, mostly on levels of a few dozen unknowns, so one Gauss-Seidel
-        sweep goes straight to its kernel."""
+        """R f, as a new array that shares no memory with f.  The cycles
+        call apply and apply_transpose once per level visit, mostly on
+        levels of a few dozen unknowns, so one Gauss-Seidel sweep goes
+        straight to its kernel.  Every path allocates its result: dtbsv
+        copies x (overwrite_x=0), gstrs returns a new array, and the
+        scalings and the sweep sum form new ones; the cycles add into it in
+        place."""
         f = self._checked(f)
         if self._one_gs_sweep:
             return self._forward(f)
         return self._sweeps(f, False)
 
     def apply_transpose(self, f):
-        """R^t f (backward Gauss-Seidel; Jacobi/Richardson are self-adjoint)."""
+        """R^t f (backward Gauss-Seidel; Jacobi/Richardson are self-adjoint),
+        as a new array, like apply."""
         f = self._checked(f)
         if self._one_gs_sweep:
             return self._backward(f)

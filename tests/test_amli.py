@@ -5,9 +5,10 @@ import scipy.sparse as sp
 import mgbench.amli
 from mgbench import (CycleParams, DenseFactorization, PCGBreakdownError,
                      SmootherSpec, a_norm, apply_amli, apply_amli_ns,
-                     apply_amli_tilde, apply_backslash, apply_v_cycle,
-                     as_csr, assemble_poisson, build_geometric, build_ua_amg,
-                     nonlinear_pcg, required_n, run_pcg, stationary_solve)
+                     apply_amli_tilde, apply_amli_tilde_ns, apply_backslash,
+                     apply_cycle, apply_v_cycle, as_csr, assemble_poisson,
+                     build_geometric, build_ua_amg, nonlinear_pcg, required_n,
+                     run_pcg, spmv, stationary_solve)
 
 P1 = CycleParams(n_inner=1)
 P2 = CycleParams(n_inner=2)
@@ -120,6 +121,106 @@ def test_level2_amli_runs_no_pcg_and_one_coarse_solve(level2_h, monkeypatch,
     f = np.random.default_rng(40).standard_normal(level2_h.level(2).A.shape[0])
     apply(level2_h, 2, f, CycleParams(n_inner=n))
     assert calls == {"pcg": 0, "solve": 1}
+
+
+@pytest.fixture(scope="module", params=["poisson-k5", "jump-k5", "ua-2sweep"])
+def h5(request):
+    """Geometric Poisson and jump at k = 5 and 2-sweep UA-AMG on the k = 5
+    Poisson matrix."""
+    if request.param == "poisson-k5":
+        return build_geometric("poisson", 5)
+    if request.param == "jump-k5":
+        return build_geometric("jump", 5)
+    return build_ua_amg(assemble_poisson(5)[0], smoother=SmootherSpec(sweeps=2))
+
+
+def copying_pcg(A, precond, f, params):
+    """The full-truncation PCG iterate with a new array for every step,
+    u = u + alpha p: the reference for run_pcg's iterate, formed on
+    return."""
+    r = f.copy()
+    directions, u = [], None
+    f_norm = np.sqrt(r.dot(r))
+    for i in range(params.n_inner):
+        if i and np.sqrt(r.dot(r)) <= mgbench.amli.RESIDUAL_EXIT_REL * f_norm:
+            break
+        p = precond(r)
+        if directions:
+            Ap0 = spmv(A, p)
+            for pj, paj in directions:
+                p = p - (float(Ap0.dot(pj)) / paj) * pj
+        Ap = spmv(A, p)
+        alpha = float(r.dot(p)) / float(p.dot(Ap))
+        u = alpha * p if u is None else u + alpha * p
+        r = r - alpha * Ap
+        directions.append((p, float(p.dot(Ap))))
+    return u
+
+
+def copying_visit(h, k, f, symmetric, params):
+    """The cycle recursion with a new array for every update of the
+    iterate, u2 = u1 + P c and u2 + R^t (f - A u2): the reference for the
+    engine's in-place updates."""
+    if k == 1:
+        return h.coarsest_solver.solve(f)
+    lv, coarser = h.levels[k - 1], h.levels[k - 2]
+    u1 = lv.smoother.apply(f)
+    g = spmv(coarser.R, f - spmv(lv.A, u1))
+    if params is None or k == 2:
+        coarse = copying_visit(h, k - 1, g, symmetric, None)
+    else:
+        coarse = copying_pcg(coarser.A,
+                             lambda rr: copying_visit(h, k - 1, rr, symmetric, params),
+                             g, params)
+    u2 = u1 + spmv(coarser.P_to_finer, coarse)
+    if not symmetric:
+        return u2
+    return u2 + lv.smoother.apply_transpose(f - spmv(lv.A, u2))
+
+
+@pytest.mark.parametrize("params", [None, P1, P2], ids=["linear", "n1", "n2"])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_in_place_cycle_matches_copying_reference(h5, symmetric, params):
+    k = h5.n_levels
+    rng = np.random.default_rng(23)
+    for _ in range(2):
+        f = rng.standard_normal(h5.finest.A.shape[0])
+        got = apply_cycle(h5, k, f, symmetric, params)
+        assert got.tobytes() == copying_visit(h5, k, f, symmetric, params).tobytes()
+        if params is not None:
+            tilde = apply_amli_tilde if symmetric else apply_amli_tilde_ns
+            ref = copying_pcg(h5.finest.A,
+                              lambda rr: copying_visit(h5, k, rr, symmetric, params),
+                              f, params)
+            assert tilde(h5, k, f, params).tobytes() == ref.tobytes()
+
+
+def test_cycles_and_solve_leave_f_and_u0_unchanged(h5):
+    """The engine adds into arrays it made itself, never into its input: every
+    public cycle and stationary_solve leave f and u0 as they were, and each
+    result is an array of its own."""
+    k = h5.n_levels
+    A = h5.finest.A
+    rng = np.random.default_rng(22)
+    f = rng.standard_normal(A.shape[0])
+    kept = f.copy()
+    calls = [lambda: apply_backslash(h5, k, f), lambda: apply_v_cycle(h5, k, f)]
+    calls += [lambda fn=fn: fn(h5, k, f, P2)
+              for fn in (apply_amli, apply_amli_ns, apply_amli_tilde,
+                         apply_amli_tilde_ns)]
+    calls += [lambda sym=sym: apply_cycle(h5, k, f, sym, P2) for sym in (True, False)]
+    for call in calls:
+        u = call()
+        assert not np.shares_memory(u, f)
+        assert np.array_equal(f, kept)
+    u0 = rng.standard_normal(A.shape[0])
+    u0_kept = u0.copy()
+    for u_start in (None, u0):
+        report = stationary_solve(lambda r: apply_amli(h5, k, r, P2), A, f,
+                                  u0=u_start, tol=1e-30, max_iter=3)
+        assert report.iterations == 3
+        assert np.array_equal(f, kept)
+        assert np.array_equal(u0, u0_kept)
 
 
 def test_pcg_direction_and_residual_orthogonality(h4):

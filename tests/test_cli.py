@@ -497,3 +497,19 @@ def test_coarsest_level_above_dense_limit_is_usage_error(command, capsys):
 def test_removed_flags_are_usage_errors(command, monkeypatch, capsys):
     _forbid_building(monkeypatch)
     assert "unrecognized arguments" in _usage_error(command.split(), capsys)
+
+
+def test_both_builders_assemble_through_one_lookup(monkeypatch):
+    # a wrapper bound to mgbench.problems.assemble_poisson, as the
+    # benchmark's setup spans bind theirs, sees every level of a geometric
+    # build and the finest matrix of a UA-AMG one
+    calls = []
+    assemble = mgbench.problems.assemble_poisson
+    monkeypatch.setattr(mgbench.problems, "assemble_poisson",
+                        lambda k: calls.append(k) or assemble(k))
+    build_problem("poisson", 4)
+    assert calls == [1, 2, 3, 4]
+    build_problem("ua_poisson", 5)
+    assert calls == [1, 2, 3, 4, 5]
+    with pytest.raises(ValueError, match="unknown problem 'aniso'"):
+        mgbench.problems.assemble("aniso", 4)

@@ -231,6 +231,18 @@ def test_dense_factorization_applies_to_identity():
     assert np.linalg.norm(A @ F.solve(v) - v) <= 1e-12 * np.linalg.norm(v)
 
 
+def test_dense_solve_returns_an_array_apart_from_its_input():
+    # the cycles hand the coarsest solve's result on as their own, to be
+    # added into: it must not be f, even where A^-1 f equals f
+    rng = np.random.default_rng(13)
+    for A in (as_csr(sp.identity(6, format="csr")), random_spd(6, rng)):
+        for f in (rng.standard_normal(6), rng.standard_normal(12)[::2]):
+            kept = f.copy()
+            u = DenseFactorization(A).solve(f)
+            assert not np.shares_memory(u, f)
+            assert np.array_equal(f, kept)
+
+
 def test_spectral_radius_diagonal():
     D = as_csr(sp.diags([1.0, 2.0, 5.0]).tocsr())
     assert spectral_radius(D) == pytest.approx(5.0, abs=1e-6)

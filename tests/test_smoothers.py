@@ -411,3 +411,28 @@ def test_smoother_rejects_wrong_length(k, spec, band):
         for method in (sm.apply, sm.apply_transpose):
             with pytest.raises(ValueError, match=message):
                 method(np.ones(shape))
+
+
+def test_apply_returns_an_array_apart_from_its_input(monkeypatch):
+    # the cycles add into what apply and apply_transpose return, so no path
+    # may hand back its input or a view of it: band and sparse Gauss-Seidel,
+    # Jacobi and Richardson, with 1 and 2 sweeps
+    A, _ = assemble_poisson(5)     # 961 unknowns, on the band path
+    f = np.random.default_rng(21).standard_normal(A.shape[0])
+    kept = f.copy()
+    bound = []
+    for sweeps in (1, 2):
+        bound += [bind(A, SmootherSpec("gs", sweeps=sweeps)),
+                  bind(A, SmootherSpec("jacobi", 0.8, sweeps)),
+                  bind(A, SmootherSpec("richardson", 1.0, sweeps))]
+        monkeypatch.setattr(smoothers, "BAND_GS_LIMIT", 0)
+        bound.append(bind(A, SmootherSpec("gs", sweeps=sweeps)))
+        monkeypatch.undo()
+    assert [sm._band is None for sm in bound if sm.spec.kind == "gs"] \
+        == [False, True, False, True]
+    for sm in bound:
+        out = [sm.apply(f), sm.apply_transpose(f)]
+        for u in out:
+            assert not np.shares_memory(u, f)
+        assert not np.shares_memory(*out)
+        assert np.array_equal(f, kept)
