@@ -3,7 +3,7 @@
 A Hierarchy stores levels coarsest-first; level(k) with k = 1..n_levels
 follows that order (1 is coarsest).  Prolongators sit on the coarse level
 they interpolate from (P_to_finer), restriction is always the transpose,
-formed once per level (Level.R).
+Level.R, read from P_to_finer on every access.
 A geometric hierarchy assembles every level on its own mesh; the UA-AMG
 coarse operators are Galerkin products of the finest matrix.  Assembly and
 each product are exactly symmetric by construction, so a builder checks the
@@ -11,7 +11,6 @@ symmetry of the finest matrix at most once and never that of a coarse one.
 """
 import array
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,10 +45,11 @@ class Level:
     P_to_finer: object = None   # absent on the finest level
     smoother: object = None
 
-    @cached_property
+    @property
     def R(self):
-        """Restriction P_to_finer^t, formed on first use and kept (None on the
-        finest level); `P.T @ x` would build the transpose on every call."""
+        """Restriction P_to_finer^t (None on the finest level), the transpose
+        of whatever P_to_finer holds now.  Each access forms a transpose;
+        the cycle engine binds it once per visit table (amli._visits)."""
         return None if self.P_to_finer is None else self.P_to_finer.T
 
 

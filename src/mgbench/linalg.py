@@ -3,6 +3,9 @@
 Sparse matrices are scipy CSR matrices with sorted, duplicate-free indices
 (canonical format).  All operators here are SPD unless stated otherwise.
 """
+import operator
+from functools import partial
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.linalg as sla
@@ -49,7 +52,9 @@ _F64 = np.dtype(np.float64)
 
 
 def spmv(A, x):
-    """A @ x, the one matvec of the cycle hot path.
+    """A @ x, checked: run_pcg's products, the multi-sweep smoother's
+    residual and the theory checks.  (The cycle visits bind their products
+    once, with _bound_matvec.)
 
     For a float64 csr_matrix or csc_matrix (exactly those types) and a 1-D
     float64 ndarray x, it checks the length (a ValueError names both) and
@@ -71,6 +76,30 @@ def spmv(A, x):
     y = np.zeros(m)
     kernel(m, n, A.indptr, A.indices, A.data, x, y)
     return y
+
+
+def _bound_matvec(M):
+    """x -> M @ x with M's kernel and arrays bound once, for the cycle
+    engine's visit tables (amli._visits).
+
+    A float64 csr_matrix or csc_matrix gets scipy's csr_matvec/csc_matvec
+    with its index and data arrays, the kernel spmv calls, without spmv's
+    per-call checks: the caller hands it only 1-D vectors of M's column
+    count (the kernel does not check, and reads past a short vector).  Any
+    other operand, such as a dense array or a tracing proxy, gets M @ x on
+    every call.
+    """
+    kernel = _MATVEC.get(type(M))
+    if kernel is None or M.data.dtype != _F64:
+        return partial(operator.matmul, M)
+    m, n = M.shape
+    indptr, indices, data = M.indptr, M.indices, M.data
+
+    def matvec(x):
+        y = np.zeros(m)
+        kernel(m, n, indptr, indices, data, x, y)
+        return y
+    return matvec
 
 
 def a_norm(A, x):
@@ -144,10 +173,12 @@ class DenseFactorization:
             raise ValueError("dimension mismatch: factorization is %d, "
                              "vector has length %d" % (self.dimension, f.shape[0]))
         # potrs copies its right-hand side (lower passed by position, which
-        # f2py parses faster); info flags only illegal arguments
+        # f2py parses faster); info flags only illegal arguments.  The
+        # refinement residual takes ndarray.dot, the BLAS gemv that `@`
+        # ends in, without the matmul ufunc's dispatch
         u, info = self._potrs(self._factor, f, self._lower)
         if info == 0:
-            du, info = self._potrs(self._factor, f - self._dense @ u, self._lower)
+            du, info = self._potrs(self._factor, f - self._dense.dot(u), self._lower)
             if info == 0:
                 return u + du
         raise ValueError("illegal value in argument %d of potrs" % -info)

@@ -1,14 +1,19 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import mgbench.amli
-from mgbench import (CycleParams, DenseFactorization, PCGBreakdownError,
-                     SmootherSpec, a_norm, apply_amli, apply_amli_ns,
-                     apply_amli_tilde, apply_amli_tilde_ns, apply_backslash,
-                     apply_cycle, apply_v_cycle, as_csr, assemble_poisson,
-                     build_geometric, build_ua_amg, nonlinear_pcg, required_n,
-                     run_pcg, spmv, stationary_solve)
+from mgbench import (CycleParams, DenseFactorization, Hierarchy,
+                     PCGBreakdownError, SmootherSpec, a_norm, apply_amli,
+                     apply_amli_ns, apply_amli_tilde, apply_amli_tilde_ns,
+                     apply_backslash, apply_cycle, apply_v_cycle, as_csr,
+                     assemble_poisson, bind, build_geometric, build_ua_amg,
+                     nonlinear_pcg, required_n, run_pcg, spmv,
+                     stationary_solve)
 
 P1 = CycleParams(n_inner=1)
 P2 = CycleParams(n_inner=2)
@@ -135,19 +140,22 @@ def h5(request):
 
 
 def copying_pcg(A, precond, f, params):
-    """The full-truncation PCG iterate with a new array for every step,
-    u = u + alpha p: the reference for run_pcg's iterate, formed on
-    return."""
+    """The PCG iterate with a new array for every step, u = u + alpha p,
+    orthogonalized against params' truncation set: the reference for
+    run_pcg's iterate, formed on return."""
     r = f.copy()
     directions, u = [], None
     f_norm = np.sqrt(r.dot(r))
+    trunc = params.truncation
     for i in range(params.n_inner):
         if i and np.sqrt(r.dot(r)) <= mgbench.amli.RESIDUAL_EXIT_REL * f_norm:
             break
         p = precond(r)
-        if directions:
+        against = (directions if trunc == "full" else [] if trunc == "sd"
+                   else directions[-(trunc + 1):])
+        if against:
             Ap0 = spmv(A, p)
-            for pj, paj in directions:
+            for pj, paj in against:
                 p = p - (float(Ap0.dot(pj)) / paj) * pj
         Ap = spmv(A, p)
         alpha = float(r.dot(p)) / float(p.dot(Ap))
@@ -178,21 +186,128 @@ def copying_visit(h, k, f, symmetric, params):
     return u2 + lv.smoother.apply_transpose(f - spmv(lv.A, u2))
 
 
-@pytest.mark.parametrize("params", [None, P1, P2], ids=["linear", "n1", "n2"])
+@pytest.mark.parametrize("params", [
+    None, P1, P2, CycleParams(n_inner=2, truncation="sd"),
+    CycleParams(n_inner=3, truncation=0)], ids=["linear", "n1", "n2", "sd", "m0"])
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_in_place_cycle_matches_copying_reference(h5, symmetric, params):
-    k = h5.n_levels
+    """The engine's visit tables, on Poisson, jump and UA-AMG and with each
+    truncation, give the copying recursion's bits at every level."""
     rng = np.random.default_rng(23)
-    for _ in range(2):
-        f = rng.standard_normal(h5.finest.A.shape[0])
-        got = apply_cycle(h5, k, f, symmetric, params)
-        assert got.tobytes() == copying_visit(h5, k, f, symmetric, params).tobytes()
-        if params is not None:
-            tilde = apply_amli_tilde if symmetric else apply_amli_tilde_ns
-            ref = copying_pcg(h5.finest.A,
-                              lambda rr: copying_visit(h5, k, rr, symmetric, params),
-                              f, params)
-            assert tilde(h5, k, f, params).tobytes() == ref.tobytes()
+    for k in (h5.n_levels, h5.n_levels - 1):
+        f = rng.standard_normal(h5.level(k).A.shape[0])
+        assert_matches_copying_reference(h5, k, f, symmetric, params)
+
+
+def assert_matches_copying_reference(h, k, f, symmetric, params):
+    got = apply_cycle(h, k, f, symmetric, params)
+    assert got.tobytes() == copying_visit(h, k, f, symmetric, params).tobytes()
+    if params is not None:
+        tilde = apply_amli_tilde if symmetric else apply_amli_tilde_ns
+        ref = copying_pcg(h.level(k).A,
+                          lambda rr: copying_visit(h, k, rr, symmetric, params),
+                          f, params)
+        assert tilde(h, k, f, params).tobytes() == ref.tobytes()
+    return got
+
+
+class ZeroSmoother:
+    def apply(self, f):
+        return np.zeros_like(f)
+
+    def apply_transpose(self, f):
+        return np.zeros_like(f)
+
+
+def _replace_smoother(h, k):
+    h.level(k).smoother = ZeroSmoother()
+
+
+def _replace_matrix(h, k):
+    lv = h.level(k)
+    lv.A = as_csr(2.0 * lv.A)
+    lv.smoother = bind(lv.A, SmootherSpec())
+
+
+def _replace_coarsest_solver(h, _k):
+    h.coarsest_solver = DenseFactorization(2.0 * h.level(1).A)
+
+
+@pytest.mark.parametrize("replace", [_replace_smoother, _replace_matrix,
+                                     _replace_coarsest_solver])
+@pytest.mark.parametrize("params", [None, P2], ids=["linear", "n2"])
+def test_replaced_part_changes_the_next_apply(replace, params):
+    """After a cycle has run, replacing a level's smoother, its matrix with
+    its smoother, or the coarsest solver changes the next apply, which then
+    equals the copying recursion on the changed hierarchy: the engine's
+    visit table is rebuilt, not kept."""
+    h = build_geometric("poisson", 4)
+    f = np.random.default_rng(24).standard_normal(h.finest.A.shape[0])
+    before = {sym: assert_matches_copying_reference(h, 4, f, sym, params)
+              for sym in (True, False)}
+    replace(h, 3)
+    for sym in (True, False):
+        after = assert_matches_copying_reference(h, 4, f, sym, params)
+        assert after.tobytes() != before[sym].tobytes()
+
+
+class ShortSmoother(ZeroSmoother):
+    def apply(self, f):
+        return np.zeros(len(f) - 1)
+
+
+class ShortSolver:
+    def solve(self, f):
+        return np.zeros(len(f) + 1)
+
+
+def test_wrong_length_from_smoother_or_coarsest_solver_is_named():
+    """The visits hand the smoother's and the coarsest solver's output to
+    scipy's matvec kernels, which do not check lengths; a wrong length is a
+    ValueError, not a read past the vector."""
+    h = build_geometric("poisson", 3)
+    f = np.ones(h.finest.A.shape[0])
+    h.level(2).smoother = ShortSmoother()
+    with pytest.raises(ValueError, match="smoother returned length 8 on a "
+                                         "level of 9 unknowns"):
+        apply_v_cycle(h, 3, f)
+    h = build_geometric("poisson", 3)
+    h.coarsest_solver = ShortSolver()
+    with pytest.raises(ValueError, match="coarsest solver returned length 2 "
+                                         "on a level of 1 unknowns"):
+        apply_amli(h, 3, f, P2)
+
+
+def test_two_grid_hierarchy_on_shared_levels_gets_its_own_table():
+    """The two-grid reference of criterion 3 reuses the finest two levels of
+    a hierarchy that has already cycled, with an exact sparse coarse solve:
+    it is cycled as a two-level hierarchy, and the full one is unchanged."""
+    h = build_geometric("poisson", 4)
+    f = np.random.default_rng(25).standard_normal(h.finest.A.shape[0])
+    full = apply_v_cycle(h, 4, f)
+    tg = Hierarchy(levels=h.levels[-2:],
+                   coarsest_solver=splu(h.levels[-2].A.tocsc()))
+    two_grid = apply_v_cycle(tg, 2, f)
+    assert two_grid.tobytes() == copying_visit(tg, 2, f, True, None).tobytes()
+    assert two_grid.tobytes() != full.tobytes()
+    assert apply_v_cycle(h, 4, f).tobytes() == full.tobytes()
+
+
+def test_visit_tables_hold_no_reference_to_the_hierarchy():
+    """With the cyclic collector off, a hierarchy that has cycled is freed
+    as soon as its last reference goes: its visit tables form no cycle
+    through it."""
+    h = build_geometric("poisson", 3)
+    f = np.ones(h.finest.A.shape[0])
+    apply_v_cycle(h, 3, f)
+    apply_amli_tilde_ns(h, 3, f, P2)
+    ref = weakref.ref(h)
+    gc.disable()
+    try:
+        del h
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cycles_and_solve_leave_f_and_u0_unchanged(h5):
@@ -464,6 +579,56 @@ def test_stationary_solve_rejects_unreachable_stop(kwargs, named):
     with pytest.raises(ValueError, match=named):
         stationary_solve(calls.append, A, f, **kwargs)
     assert not calls
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"f": np.ones(48), "u0": np.zeros(49)},
+     "matrix is 49, right-hand side has length 48"),
+    ({"u0": np.zeros((49, 1))},
+     r"matrix is 49, initial guess has shape \(49, 1\), not a vector"),
+    ({"u_exact": np.zeros(50)}, "matrix is 49, exact solution has length 50"),
+], ids=["f-length", "u0-2d", "u_exact-length"])
+def test_stationary_solve_names_shape_errors_before_any_call(kwargs, named):
+    """A right-hand side of the wrong length next to a valid u0 used to meet
+    numpy's broadcast error; an (n, 1) u0 broadcast f - A u to n x n and
+    failed later in the operator; a u_exact of the wrong length failed in
+    the energy norm.  Each is now named before A or the operator runs."""
+    A, f = assemble_poisson(3)
+    calls = []
+
+    class Counting:
+        shape = A.shape
+
+        def __matmul__(self, x):
+            calls.append("A")
+            return A @ x
+
+    args = {"f": f, **kwargs}
+    with pytest.raises(ValueError, match=named):
+        stationary_solve(lambda r: calls.append("op"), Counting(), **args)
+    assert not calls
+
+
+def test_pcg_and_cycles_name_a_non_vector_right_hand_side(h4):
+    """run_pcg and every public cycle take f as a float vector of the
+    level's length: a 2-D f used to fail inside the first inner product
+    ("shapes not aligned"), and a list reached the cycle as a list."""
+    A = h4.finest.A
+    n = A.shape[0]
+    block = np.ones((n, 2))
+    with pytest.raises(ValueError, match=r"matrix is %d, right-hand side has "
+                                         r"shape \(%d, 2\)" % (n, n)):
+        run_pcg(A, lambda g: apply_v_cycle(h4, 4, g), block, P2)
+    cycles = [lambda f: apply_backslash(h4, 4, f), lambda f: apply_v_cycle(h4, 4, f)]
+    cycles += [lambda f, fn=fn: fn(h4, 4, f, P2)
+               for fn in (apply_amli, apply_amli_ns, apply_amli_tilde,
+                          apply_amli_tilde_ns)]
+    f = np.random.default_rng(26).standard_normal(n)
+    for cycle in cycles:
+        with pytest.raises(ValueError, match=r"matrix is %d, .*shape \(%d, 2\)"
+                                             % (n, n)):
+            cycle(block)
+        assert cycle(list(f)).tobytes() == cycle(f).tobytes()
 
 
 def test_stationary_solve_statuses():

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import mgbench.hierarchy
 from mgbench import (Aggregation, CoarseningStagnation, DENSE_LIMIT, NonSPDError,
-                     aggregate, as_csr, assemble_jump, assemble_poisson, a_norm,
-                     build_geometric, build_ua_amg, geometric_prolongator,
-                     piecewise_constant_prolongator, rap, symmetry_error)
+                     aggregate, apply_v_cycle, as_csr, assemble_jump,
+                     assemble_poisson, a_norm, build_geometric, build_ua_amg,
+                     geometric_prolongator, piecewise_constant_prolongator, rap,
+                     symmetry_error)
 from test_problems import assert_canonical_csr
 
 # frozen first-run snapshots; the greedy pass is deterministic by design
@@ -161,6 +162,25 @@ def test_build_geometric_structure():
         P = h.levels[i].P_to_finer
         assert P.shape == (h.levels[i + 1].A.shape[0], h.levels[i].A.shape[0])
     assert h.coarsest_solver.dimension <= DENSE_LIMIT
+
+
+def test_restriction_follows_a_replaced_prolongator():
+    """Level.R is the transpose of the prolongator the level holds now.  It
+    used to be kept from its first use, so after a cycle had run, a
+    replaced P_to_finer prolongated with the new P but restricted with the
+    old one's transpose, and the next V-cycle differed from that of a
+    hierarchy built with the new P."""
+    h = build_geometric("poisson", 4)
+    fresh = build_geometric("poisson", 4)
+    f = np.random.default_rng(3).standard_normal(h.finest.A.shape[0])
+    apply_v_cycle(h, 4, f)
+    P = as_csr(0.5 * h.level(3).P_to_finer)
+    h.level(3).P_to_finer = P
+    fresh.level(3).P_to_finer = P
+    assert h.level(3).R.shape == (P.shape[1], P.shape[0])
+    assert abs(h.level(3).R - P.T).max() == 0.0
+    assert apply_v_cycle(h, 4, f).tobytes() == apply_v_cycle(fresh, 4, f).tobytes()
+    assert h.finest.R is None
 
 
 def test_build_geometric_levels_are_galerkin_consistent():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from mgbench import (DenseFactorization, NonSPDError, a_norm, as_csr,
@@ -76,13 +77,14 @@ def test_spmv_fast_path_is_bit_identical_to_matmul(monkeypatch, fmt, index_dtype
     strided = rng.standard_normal(15)[::3]
     assert not strided.flags.c_contiguous
     calls = spy_kernels(monkeypatch, allowed=True)
+    bound = linalg._bound_matvec(A)
     for x in (contiguous, strided):
-        got = spmv(A, x)
         ref = A @ x
-        assert got.dtype == ref.dtype == np.float64 and got.shape == (7,)
-        assert got.tobytes() == ref.tobytes()
-        assert got[1] == got[4] == 0.0
-    assert calls == [type(A), type(A)]
+        for got in (spmv(A, x), bound(x)):
+            assert got.dtype == ref.dtype == np.float64 and got.shape == (7,)
+            assert got.tobytes() == ref.tobytes()
+            assert got[1] == got[4] == 0.0
+    assert calls == [type(A)] * 4
 
 
 class MatmulOnly:
@@ -110,13 +112,18 @@ def test_spmv_falls_back_to_matmul(monkeypatch, make):
     A, x = make(sparse_with_empty_rows_and_columns("csr", np.int32),
                 np.random.default_rng(6).standard_normal(5))
     spy_kernels(monkeypatch, allowed=False)
-    got = spmv(A, x)
     ref = A @ x
-    if isinstance(A, MatmulOnly):
-        assert got[0] == "via matmul" and np.array_equal(got[1], ref[1])
-    else:
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert np.array_equal(got, ref)
+    results = [spmv(A, x)]
+    if not (type(A) is sp.csr_matrix and A.dtype == np.float64):
+        # the bound matvec takes only 1-D float vectors; its fallback is
+        # chosen by the operand alone
+        results.append(linalg._bound_matvec(A)(x))
+    for got in results:
+        if isinstance(A, MatmulOnly):
+            assert got[0] == "via matmul" and np.array_equal(got[1], ref[1])
+        else:
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc"])
@@ -216,6 +223,22 @@ def test_dense_solve_roundtrip_random():
         x = rng.standard_normal(n)
         out = DenseFactorization(A).solve(spmv(A, x))
         assert np.linalg.norm(out - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_dense_solve_matches_cho_solve_refinement_bit_for_bit():
+    """solve is one cho_solve plus one refinement step whose residual is
+    f - A @ u; calling potrs and ndarray.dot directly changes no bit."""
+    rng = np.random.default_rng(14)
+    for n in (1, 9, 49, 120):
+        A = random_spd(n, rng)
+        F = DenseFactorization(A)
+        dense = A.toarray()
+        factor = sla.cho_factor(dense)
+        for _ in range(5):
+            f = rng.standard_normal(n)
+            u = sla.cho_solve(factor, f)
+            ref = u + sla.cho_solve(factor, f - dense @ u)
+            assert F.solve(f).tobytes() == ref.tobytes()
 
 
 def test_dense_solve_rejects_non_spd():
