@@ -15,8 +15,7 @@ preconditioned by the coarser-level cycle.  On level 2 that PCG would be
 preconditioned by the exact solve A_1^{-1}, and its first step (alpha = 1)
 is A_1^{-1} g, so every cycle takes the coarsest solve itself there, as
 the K-cycle does.  Restriction is the prolongator transpose (Level.R),
-which a table binds once per level.  A table is rebuilt when any object it
-was built from is replaced on the hierarchy (see _visits).
+which a table binds once per level.
 
 Iterates are updated in place: u += c makes the same additions in the same
 order as u = u + c, so no result changes, and a cycle holds up to one
@@ -29,12 +28,11 @@ its own.  Nothing updates f, a residual or a search direction in place:
 PcgState keeps them.
 """
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _bound_matvec, spmv
+from .linalg import _bound_matvec, _vector, spmv
 
 RESIDUAL_EXIT_REL = 1e-14
 BREAKDOWN_REL = 1e-30
@@ -79,17 +77,6 @@ class PcgState:
     residual: np.ndarray
     directions: list = field(default_factory=list)   # (p, A p, (p, p)_A)
     residuals: list = field(default_factory=list)    # r_0 .. r_n
-
-
-def _vector(v, n, name):
-    """v as a float vector of length n; ValueError naming both lengths."""
-    v = np.asarray(v, float)
-    if v.shape != (n,):
-        got = ("length %d" % v.shape[0] if v.ndim == 1
-               else "shape %s, not a vector" % (v.shape,))
-        raise ValueError("dimension mismatch: matrix is %d, %s has %s"
-                         % (n, name, got))
-    return v
 
 
 def run_pcg(A, precond, f, params):
@@ -176,50 +163,16 @@ def apply_cycle(h, k, f, symmetric, params=None):
     return _visits(h, symmetric, params)[k - 1](f)
 
 
-# id(h) -> (coarsest solver, [(A, P_to_finer, smoother) per level], {form:
-# visits}): the objects h's visit tables were built from, and the tables.
-# An entry goes when its hierarchy does (weakref.finalize in _visits).
-_TABLES = {}
-
-
 def _visits(h, symmetric, params):
     """h's visit table for one cycle form: the list whose entry k - 1 runs
     one visit of level k.  A table is built on the first apply of its form
-    and kept while the coarsest solver and each level's A, P_to_finer and
-    smoother are the objects it was built from; replacing any of them drops
-    all of h's tables.  Objects are compared by identity, so what changes
-    inside one goes unseen: a matrix whose index or data arrays are
-    rebound, or a smoother whose apply is replaced after a table bound it
-    (the coarsest solver's solve is looked up on every call).  The tables
-    live in this module, not on h, so that Hierarchy stays a plain
-    dataclass: its fields, repr, == and copies are unchanged, and no
-    table refers back to h.
-    """
-    entry = _TABLES.get(id(h))
-    if entry is None:
-        weakref.finalize(h, _TABLES.pop, id(h), None)
-    elif not _built_from(h, entry[0], entry[1]):
-        entry = None
-    if entry is None:
-        entry = _TABLES[id(h)] = (
-            h.coarsest_solver,
-            [(lv.A, lv.P_to_finer, lv.smoother) for lv in h.levels], {})
-    tables = entry[2]
+    and kept in h._tables; a built hierarchy is immutable, so it never goes
+    stale, and no table refers back to h."""
     form = (symmetric, params)
-    visits = tables.get(form)
+    visits = h._tables.get(form)
     if visits is None:
-        visits = tables[form] = _build_visits(h, symmetric, params)
+        visits = h._tables[form] = _build_visits(h, symmetric, params)
     return visits
-
-
-def _built_from(h, solver, parts):
-    levels = h.levels
-    if h.coarsest_solver is not solver or len(levels) != len(parts):
-        return False
-    for lv, (A, P, smoother) in zip(levels, parts):
-        if lv.A is not A or lv.P_to_finer is not P or lv.smoother is not smoother:
-            return False
-    return True
 
 
 def _build_visits(h, symmetric, params):

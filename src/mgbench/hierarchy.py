@@ -3,7 +3,9 @@
 A Hierarchy stores levels coarsest-first; level(k) with k = 1..n_levels
 follows that order (1 is coarsest).  Prolongators sit on the coarse level
 they interpolate from (P_to_finer), restriction is always the transpose,
-Level.R, read from P_to_finer on every access.
+Level.R.  A built hierarchy is immutable: levels is a tuple of frozen
+Levels, so a changed part means a new hierarchy (dataclasses.replace).
+A part's own contents, such as a matrix's arrays, are not changed in place.
 A geometric hierarchy assembles every level on its own mesh; the UA-AMG
 coarse operators are Galerkin products of the finest matrix.  Assembly and
 each product are exactly symmetric by construction, so a builder checks the
@@ -39,7 +41,7 @@ def require_coarsening(theta, min_coarse=1, max_levels=1):
         raise ValueError("max_levels must be >= 1, got %d" % max_levels)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Level:
     A: object
     P_to_finer: object = None   # absent on the finest level
@@ -47,17 +49,24 @@ class Level:
 
     @property
     def R(self):
-        """Restriction P_to_finer^t (None on the finest level), the transpose
-        of whatever P_to_finer holds now.  Each access forms a transpose;
-        the cycle engine binds it once per visit table (amli._visits)."""
+        """Restriction P_to_finer^t (None on the finest level).  Each access
+        forms a transpose; the cycle engine binds it once per visit table
+        (amli._visits)."""
         return None if self.P_to_finer is None else self.P_to_finer.T
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Hierarchy:
-    levels: list = field(default_factory=list)   # index 0 = coarsest
+    """Levels coarsest first and the coarsest solver.  == is identity, and
+    _tables holds the cycle engine's visit tables (amli._visits); a copy
+    made with dataclasses.replace starts without them."""
+    levels: tuple = ()   # index 0 = coarsest
     coarsest_solver: DenseFactorization = None
     mesh_levels: list = None    # geometric hierarchies: mesh index per level
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "levels", tuple(self.levels))
 
     @property
     def n_levels(self):
@@ -246,10 +255,10 @@ def build_ua_amg(A_fine, theta=DEFAULT_THETA, min_coarse=DEFAULT_MIN_COARSE,
     if smoother is None:
         smoother = SmootherSpec()
     A_fine = as_csr(A_fine)
-    levels = [Level(A=A_fine)]
+    parts = [(A_fine, None)]   # (A, P_to_finer), finest first
     stagnant = 0
     Ak = A_fine
-    while Ak.shape[0] > min_coarse and len(levels) < max_levels:
+    while Ak.shape[0] > min_coarse and len(parts) < max_levels:
         agg = aggregate(Ak, theta=theta)
         if agg.n_aggregates == Ak.shape[0]:
             stagnant += 1
@@ -260,15 +269,15 @@ def build_ua_amg(A_fine, theta=DEFAULT_THETA, min_coarse=DEFAULT_MIN_COARSE,
         else:
             stagnant = 0
         P = piecewise_constant_prolongator(agg, Ak.shape[0])
-        Ak = rap(P, Ak) if len(levels) == 1 else _galerkin(P, Ak)
-        levels.append(Level(A=Ak, P_to_finer=P))
+        Ak = rap(P, Ak) if len(parts) == 1 else _galerkin(P, Ak)
+        parts.append((Ak, P))
 
     if Ak.shape[0] > DENSE_LIMIT:
         raise ValueError("the coarsest of %d levels has %d unknowns, above the "
                          "dense limit %d; raise max_levels or lower min_coarse"
-                         % (len(levels), Ak.shape[0], DENSE_LIMIT))
-    levels.reverse()   # coarsest first; each P_to_finer already sits on its coarse level
-    for lv in levels:
-        lv.smoother = bind(lv.A, smoother)
+                         % (len(parts), Ak.shape[0], DENSE_LIMIT))
+    # coarsest first; each P_to_finer already sits on its coarse level
+    levels = [Level(A=A, P_to_finer=P, smoother=bind(A, smoother))
+              for A, P in reversed(parts)]
     return Hierarchy(levels=levels,
                      coarsest_solver=DenseFactorization(levels[0].A))

@@ -102,6 +102,17 @@ def _bound_matvec(M):
     return matvec
 
 
+def _vector(v, n, name):
+    """v as a float vector of length n; ValueError naming both lengths."""
+    v = np.asarray(v, float)
+    if v.shape != (n,):
+        got = ("length %d" % v.shape[0] if v.ndim == 1
+               else "shape %s, not a vector" % (v.shape,))
+        raise ValueError("dimension mismatch: matrix is %d, %s has %s"
+                         % (n, name, got))
+    return v
+
+
 def a_norm(A, x):
     """Energy norm sqrt((A x, x)); negative quadratic form raises NonSPDError."""
     q = float(spmv(A, x).dot(x))
@@ -168,10 +179,7 @@ class DenseFactorization:
         """A^-1 f, as a new array that shares no memory with f (potrs
         solves in a copy, and the refinement forms a new sum), so that every
         cycle returns an array of its own."""
-        f = np.asarray(f, float)
-        if f.shape[0] != self.dimension:
-            raise ValueError("dimension mismatch: factorization is %d, "
-                             "vector has length %d" % (self.dimension, f.shape[0]))
+        f = _vector(f, self.dimension, "right-hand side")
         # potrs copies its right-hand side (lower passed by position, which
         # f2py parses faster); info flags only illegal arguments.  The
         # refinement residual takes ndarray.dot, the BLAS gemv that `@`

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -14,6 +15,7 @@ from mgbench import (CycleParams, DenseFactorization, Hierarchy,
                      assemble_poisson, bind, build_geometric, build_ua_amg,
                      nonlinear_pcg, required_n, run_pcg, spmv,
                      stationary_solve)
+from test_hierarchy import with_parts
 
 P1 = CycleParams(n_inner=1)
 P2 = CycleParams(n_inner=2)
@@ -220,35 +222,54 @@ class ZeroSmoother:
 
 
 def _replace_smoother(h, k):
-    h.level(k).smoother = ZeroSmoother()
+    return with_parts(h, k, smoother=ZeroSmoother())
 
 
 def _replace_matrix(h, k):
-    lv = h.level(k)
-    lv.A = as_csr(2.0 * lv.A)
-    lv.smoother = bind(lv.A, SmootherSpec())
+    A = as_csr(2.0 * h.level(k).A)
+    return with_parts(h, k, A=A, smoother=bind(A, SmootherSpec()))
 
 
 def _replace_coarsest_solver(h, _k):
-    h.coarsest_solver = DenseFactorization(2.0 * h.level(1).A)
+    return with_parts(h, coarsest_solver=DenseFactorization(2.0 * h.level(1).A))
 
 
 @pytest.mark.parametrize("replace", [_replace_smoother, _replace_matrix,
                                      _replace_coarsest_solver])
 @pytest.mark.parametrize("params", [None, P2], ids=["linear", "n2"])
 def test_replaced_part_changes_the_next_apply(replace, params):
-    """After a cycle has run, replacing a level's smoother, its matrix with
-    its smoother, or the coarsest solver changes the next apply, which then
-    equals the copying recursion on the changed hierarchy: the engine's
-    visit table is rebuilt, not kept."""
+    """A hierarchy made from a cycled one with a level's smoother, its
+    matrix with its smoother, or the coarsest solver replaced cycles with
+    the new part: it equals the copying recursion on the changed hierarchy
+    and differs from the original, which still gives its earlier results
+    bit for bit."""
     h = build_geometric("poisson", 4)
     f = np.random.default_rng(24).standard_normal(h.finest.A.shape[0])
     before = {sym: assert_matches_copying_reference(h, 4, f, sym, params)
               for sym in (True, False)}
-    replace(h, 3)
+    changed = replace(h, 3)
     for sym in (True, False):
-        after = assert_matches_copying_reference(h, 4, f, sym, params)
+        after = assert_matches_copying_reference(changed, 4, f, sym, params)
         assert after.tobytes() != before[sym].tobytes()
+        again = assert_matches_copying_reference(h, 4, f, sym, params)
+        assert again.tobytes() == before[sym].tobytes()
+
+
+def test_replaced_hierarchy_starts_without_tables():
+    """dataclasses.replace makes a hierarchy with no visit tables, which
+    then cycles with its own coarsest solver, not the one the original's
+    tables hold."""
+    h = build_geometric("poisson", 3)
+    f = np.random.default_rng(26).standard_normal(h.finest.A.shape[0])
+    before = apply_v_cycle(h, 3, f)
+    assert h._tables
+    solver = DenseFactorization(2.0 * h.level(1).A)
+    changed = dataclasses.replace(h, coarsest_solver=solver)
+    assert changed._tables == {}
+    after = apply_v_cycle(changed, 3, f)
+    assert after.tobytes() == copying_visit(changed, 3, f, True, None).tobytes()
+    assert after.tobytes() != before.tobytes()
+    assert changed._tables and changed._tables is not h._tables
 
 
 class ShortSmoother(ZeroSmoother):
@@ -267,12 +288,10 @@ def test_wrong_length_from_smoother_or_coarsest_solver_is_named():
     ValueError, not a read past the vector."""
     h = build_geometric("poisson", 3)
     f = np.ones(h.finest.A.shape[0])
-    h.level(2).smoother = ShortSmoother()
     with pytest.raises(ValueError, match="smoother returned length 8 on a "
                                          "level of 9 unknowns"):
-        apply_v_cycle(h, 3, f)
-    h = build_geometric("poisson", 3)
-    h.coarsest_solver = ShortSolver()
+        apply_v_cycle(with_parts(h, 2, smoother=ShortSmoother()), 3, f)
+    h = with_parts(h, coarsest_solver=ShortSolver())
     with pytest.raises(ValueError, match="coarsest solver returned length 2 "
                                          "on a level of 1 unknowns"):
         apply_amli(h, 3, f, P2)

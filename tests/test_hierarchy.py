@@ -1,19 +1,31 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import mgbench.hierarchy
-from mgbench import (Aggregation, CoarseningStagnation, DENSE_LIMIT, NonSPDError,
-                     aggregate, apply_v_cycle, as_csr, assemble_jump,
-                     assemble_poisson, a_norm, build_geometric, build_ua_amg,
-                     geometric_prolongator, piecewise_constant_prolongator, rap,
-                     symmetry_error)
+from mgbench import (Aggregation, CoarseningStagnation, DENSE_LIMIT, Level,
+                     NonSPDError, aggregate, apply_v_cycle, as_csr,
+                     assemble_jump, assemble_poisson, a_norm, build_geometric,
+                     build_ua_amg, geometric_prolongator,
+                     piecewise_constant_prolongator, rap, symmetry_error)
 from test_problems import assert_canonical_csr
 
 # frozen first-run snapshots; the greedy pass is deterministic by design
 POISSON_K3_THETA008_N_AGG = 10
 UA_POISSON_K6_LEVEL_SIZES = [15, 92, 687, 3969]
+
+
+def with_parts(h, k=None, **parts):
+    """A new hierarchy like h with the named parts replaced: level k's A,
+    P_to_finer or smoother given k, else h's own (coarsest_solver)."""
+    if k is None:
+        return dataclasses.replace(h, **parts)
+    levels = list(h.levels)
+    levels[k - 1] = dataclasses.replace(levels[k - 1], **parts)
+    return dataclasses.replace(h, levels=levels)
 
 
 def coarse_hat_value(icx, icy, k, x, y):
@@ -165,22 +177,47 @@ def test_build_geometric_structure():
 
 
 def test_restriction_follows_a_replaced_prolongator():
-    """Level.R is the transpose of the prolongator the level holds now.  It
-    used to be kept from its first use, so after a cycle had run, a
-    replaced P_to_finer prolongated with the new P but restricted with the
-    old one's transpose, and the next V-cycle differed from that of a
-    hierarchy built with the new P."""
+    """Level.R is the transpose of the level's own prolongator.  It used to
+    be kept from its first use, so a replaced P_to_finer prolongated with
+    the new P but restricted with the old one's transpose.  A hierarchy
+    made from a cycled one with a new P restricts with P^t, and its V-cycle
+    equals that of a hierarchy that never cycled with the old P."""
     h = build_geometric("poisson", 4)
-    fresh = build_geometric("poisson", 4)
     f = np.random.default_rng(3).standard_normal(h.finest.A.shape[0])
     apply_v_cycle(h, 4, f)
     P = as_csr(0.5 * h.level(3).P_to_finer)
-    h.level(3).P_to_finer = P
-    fresh.level(3).P_to_finer = P
-    assert h.level(3).R.shape == (P.shape[1], P.shape[0])
-    assert abs(h.level(3).R - P.T).max() == 0.0
-    assert apply_v_cycle(h, 4, f).tobytes() == apply_v_cycle(fresh, 4, f).tobytes()
-    assert h.finest.R is None
+    changed = with_parts(h, 3, P_to_finer=P)
+    fresh = with_parts(build_geometric("poisson", 4), 3, P_to_finer=P)
+    assert changed.level(3).R.shape == (P.shape[1], P.shape[0])
+    assert abs(changed.level(3).R - P.T).max() == 0.0
+    assert abs(h.level(3).R - 2.0 * P.T).max() == 0.0
+    assert apply_v_cycle(changed, 4, f).tobytes() == apply_v_cycle(fresh, 4, f).tobytes()
+    assert changed.finest.R is None
+
+
+def test_built_hierarchy_is_immutable():
+    """No part of a built hierarchy can be swapped: its fields and its
+    levels' fields are frozen, and levels is a tuple."""
+    h = build_geometric("poisson", 3)
+    lv = h.level(2)
+    for obj, name, value in [(lv, "A", lv.A), (lv, "P_to_finer", lv.P_to_finer),
+                             (lv, "smoother", lv.smoother),
+                             (h, "coarsest_solver", h.coarsest_solver),
+                             (h, "levels", list(h.levels))]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    with pytest.raises(TypeError):
+        h.levels[0] = Level(A=h.level(1).A)
+    assert isinstance(build_ua_amg(assemble_poisson(5)[0]).levels, tuple)
+
+
+def test_hierarchies_compare_by_identity():
+    """== on hierarchies and levels is identity.  The generated == compared
+    sparse matrices element-wise, so two equal builds raised ValueError."""
+    h, other = build_geometric("poisson", 3), build_geometric("poisson", 3)
+    assert h == h and h.level(2) == h.level(2)
+    assert h != other and h.level(2) != other.level(2)
+    assert dataclasses.replace(h) != h
 
 
 def test_build_geometric_levels_are_galerkin_consistent():

@@ -241,6 +241,20 @@ def test_dense_solve_matches_cho_solve_refinement_bit_for_bit():
             assert F.solve(f).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("f, named", [
+    (3.0, r"matrix is 9, right-hand side has shape \(\), not a vector"),
+    (np.ones((9, 2)), r"matrix is 9, right-hand side has shape \(9, 2\), "
+                      r"not a vector"),
+    (np.ones(8), r"matrix is 9, right-hand side has length 8")],
+    ids=["scalar", "block", "short"])
+def test_dense_solve_rejects_a_non_vector(f, named):
+    """solve takes one vector of its length: a scalar (an IndexError) and a
+    9 x 2 block (solved column by column) were taken before."""
+    F = DenseFactorization(assemble_poisson(2)[0])
+    with pytest.raises(ValueError, match=named):
+        F.solve(f)
+
+
 def test_dense_solve_rejects_non_spd():
     B = as_csr(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
     with pytest.raises(NonSPDError):

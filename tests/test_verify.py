@@ -14,6 +14,7 @@ from mgbench.verify import (CheckReport, check_approximation_constant,
                             check_smoothed_projection_bound,
                             check_two_grid_factor, rng_for, run_suite,
                             _coarse_projector, _pencil_top, _two_grid_model)
+from test_hierarchy import with_parts
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +111,9 @@ def test_two_grid_factor_rejects_non_spd_level():
     """An indefinite level matrix (the Poisson matrix minus 7 I; its
     spectrum lies in (0, 8)) raises ValueError."""
     h = build_geometric("poisson", 3)
-    lv = h.level(3)
-    lv.A = (lv.A - 7.0 * sp.identity(lv.A.shape[0], format="csr")).tocsr()
-    lv.smoother = bind(lv.A, SmootherSpec())
+    A = h.level(3).A
+    A = (A - 7.0 * sp.identity(A.shape[0], format="csr")).tocsr()
+    h = with_parts(h, 3, A=A, smoother=bind(A, SmootherSpec()))
     with pytest.raises(ValueError):
         check_two_grid_factor(h, 3)
 
@@ -262,9 +263,6 @@ def test_error_representation_smoother_free_reduction():
     solve: Bhat_ns[v] = P Btilde_ns[P^t v]."""
     from mgbench import apply_amli_ns, nonlinear_pcg
 
-    h = build_geometric("poisson", 3)
-    lv = h.level(3)
-
     class ZeroSmoother:
         def apply(self, f):
             return np.zeros_like(f)
@@ -272,27 +270,20 @@ def test_error_representation_smoother_free_reduction():
         def apply_transpose(self, f):
             return np.zeros_like(f)
 
-    saved = lv.smoother
-    lv.smoother = ZeroSmoother()
-    try:
-        params = CycleParams(n_inner=1)
-        P = h.level(2).P_to_finer
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(lv.A.shape[0])
-        lhs = apply_amli_ns(h, 3, v, params)
-        rhs = P @ nonlinear_pcg(h.level(2).A,
-                                lambda g: apply_amli_ns(h, 2, g, params),
-                                P.T @ v, params)
-        assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
-    finally:
-        lv.smoother = saved
+    h = with_parts(build_geometric("poisson", 3), 3, smoother=ZeroSmoother())
+    params = CycleParams(n_inner=1)
+    P = h.level(2).P_to_finer
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal(h.level(3).A.shape[0])
+    lhs = apply_amli_ns(h, 3, v, params)
+    rhs = P @ nonlinear_pcg(h.level(2).A,
+                            lambda g: apply_amli_ns(h, 2, g, params),
+                            P.T @ v, params)
+    assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
 def test_two_grid_factor_exact_smoother_is_zero():
     from mgbench import DenseFactorization
-
-    h = build_geometric("poisson", 2)
-    lv = h.level(2)
 
     class ExactSmoother:
         def __init__(self, A):
@@ -303,12 +294,9 @@ def test_two_grid_factor_exact_smoother_is_zero():
 
         apply_transpose = apply
 
-    saved = lv.smoother
-    lv.smoother = ExactSmoother(lv.A)
-    try:
-        assert check_two_grid_factor(h, 2) <= 1e-10
-    finally:
-        lv.smoother = saved
+    h = build_geometric("poisson", 2)
+    h = with_parts(h, 2, smoother=ExactSmoother(h.level(2).A))
+    assert check_two_grid_factor(h, 2) <= 1e-10
 
 
 def test_two_grid_factor_poisson_meets_n2_threshold():
