@@ -29,6 +29,7 @@ PcgState keeps them.
 """
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -53,11 +54,13 @@ class CycleParams:
 
     kind is validated but no cycle reads it: the cycle function called
     (apply_amli or apply_amli_ns, and their tilde forms) picks the symmetric
-    or nonsymmetric form.  It stays because acceptance criterion 7 passes it.
+    or nonsymmetric form.  It stays because acceptance criterion 7 passes it,
+    and it takes no part in == or the hash, so params that differ only in
+    kind share one visit table.
     """
     n_inner: int = 1
     truncation: object = "full"
-    kind: str = "amli_symmetric"
+    kind: str = field(default="amli_symmetric", compare=False)
 
     def __post_init__(self):
         if self.n_inner < 1:
@@ -181,8 +184,8 @@ def _build_visits(h, symmetric, params):
     Level 1 calls h.coarsest_solver.solve, looked up on every call.  Level
     k >= 2 corrects with the level k - 1 visit on level 2 (the module
     docstring says why) and in the linear cycles, and otherwise with
-    n_inner steps of run_pcg preconditioned by that visit; run_pcg is
-    looked up by name on every call, so that a wrapper bound to that name
+    nonlinear_pcg preconditioned by that visit; nonlinear_pcg looks up
+    run_pcg by name on every call, so that a wrapper bound to that name
     sees it.  Each visit of level k >= 2 calls lv.smoother.apply once and
     makes every product through lv.A, Level.R or P_to_finer, as the
     benchmark's tracing proxies expect.  The bound kernels do not check
@@ -206,16 +209,9 @@ def _build_visits(h, symmetric, params):
         if params is None or k == 2:
             correct = below
         else:
-            correct = _pcg_correction(coarser.A, below, params)
+            correct = partial(nonlinear_pcg, coarser.A, below, params=params)
         visits.append(_level_visit(h.levels[k - 1], coarser, correct, symmetric))
     return visits
-
-
-def _pcg_correction(A, precond, params):
-    """g -> the iterate of n_inner run_pcg steps on A c = g."""
-    def correct(g):
-        return run_pcg(A, precond, g, params).iterate
-    return correct
 
 
 def _level_visit(lv, coarser, correct, symmetric):
@@ -322,7 +318,10 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, max_iter=2000,
     (require_stopping), then that f, u0 and u_exact are vectors of A's
     length, before the first call of A or the operator (a ValueError names
     both lengths).  u is a copy of u0 (or zeros), so each correction is
-    added into it in place; neither f nor u0 is changed.
+    added into it in place; neither f nor u0 is changed.  Each pass forms
+    the residual and the histories, then tests the exits in the order
+    nonfinite, diverged, converged, max_iter, and applies the operator only
+    when none holds.
     """
     require_stopping(tol, max_iter)
     n = A.shape[0]
@@ -331,49 +330,32 @@ def stationary_solve(operator, A, f, u0=None, tol=1e-6, max_iter=2000,
     if u_exact is not None:
         u_exact = _vector(u_exact, n, "exact solution")
 
-    f_scale = np.linalg.norm(f)
-    if f_scale == 0.0:
-        f_scale = 1.0
-
-    def energy_error(v):
-        e = v - u_exact
-        return float(np.sqrt(max(np.dot(A @ e, e), 0.0)))
-
-    r = f - A @ u
-    residual_history = [float(np.linalg.norm(r))]
-    energy_history = [energy_error(u)] if u_exact is not None else None
-    start = residual_history[0]
-
-    def monitored():
-        if energy_history is None:
-            return residual_history[-1] / f_scale
-        return energy_history[-1]
-
-    def status():
-        """The status a stop now would report; the loop runs while it is 'max_iter'."""
-        if not math.isfinite(residual_history[-1]) or not math.isfinite(monitored()):
-            return "nonfinite"
-        if residual_history[-1] > DIVERGENCE_FACTOR * max(start, f_scale):
-            return "diverged"
-        return "converged" if monitored() <= tol else "max_iter"
-
-    iterations = 0
-    exit_status = None
-    while status() == "max_iter" and iterations < max_iter:
-        try:
-            u += operator(r)
-        except PCGBreakdownError:
-            exit_status = "breakdown"
-            break
-        iterations += 1
+    f_scale = np.linalg.norm(f) or 1.0
+    residual_history = []
+    energy_history = None if u_exact is None else []
+    iterations, status = 0, None
+    while status is None:
         r = f - A @ u
-        residual_history.append(float(np.linalg.norm(r)))
-        if energy_history is not None:
-            energy_history.append(energy_error(u))
-
-    return SolveReport(
-        iterations=iterations,
-        status=exit_status or status(),
-        residual_history=residual_history,
-        energy_error_history=energy_history,
-    )
+        residual = float(np.linalg.norm(r))
+        residual_history.append(residual)
+        if energy_history is None:
+            monitored = residual / f_scale
+        else:
+            e = u - u_exact
+            monitored = float(np.sqrt(max(np.dot(A @ e, e), 0.0)))
+            energy_history.append(monitored)
+        if not (math.isfinite(residual) and math.isfinite(monitored)):
+            status = "nonfinite"
+        elif residual > DIVERGENCE_FACTOR * max(residual_history[0], f_scale):
+            status = "diverged"
+        elif monitored <= tol:
+            status = "converged"
+        elif iterations == max_iter:
+            status = "max_iter"
+        else:
+            try:
+                u += operator(r)
+                iterations += 1
+            except PCGBreakdownError:
+                status = "breakdown"
+    return SolveReport(iterations, status, residual_history, energy_history)

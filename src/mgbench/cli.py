@@ -19,7 +19,7 @@ from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
     apply_amli_tilde_ns, apply_backslash, apply_v_cycle, require_stopping, \
     stationary_solve
 from .hierarchy import DEFAULT_MAX_LEVELS, DEFAULT_MIN_COARSE, DEFAULT_THETA, \
-    build_geometric, build_ua_amg, require_coarsening
+    CoarseningStagnation, build_geometric, build_ua_amg, require_coarsening
 from .linalg import DENSE_LIMIT
 from .problems import MAX_LEVEL, assemble, load_vector
 from .smoothers import SmootherSpec
@@ -277,10 +277,12 @@ def row_levels(args, default, ua_default):
 
 
 def _usage(args, check, *values):
-    """check(*values), with a ValueError reported as a usage error (exit 2)."""
+    """check(*values), with a ValueError or a CoarseningStagnation (settings
+    under which aggregation stops shrinking) reported as a usage error
+    (exit 2)."""
     try:
         return check(*values)
-    except ValueError as exc:
+    except (ValueError, CoarseningStagnation) as exc:
         args.parser.error(str(exc))
 
 
@@ -300,8 +302,9 @@ def cmd_run(args):
         config["k_range"] = levels
         row_header = "k"
 
-    # a hierarchy whose coarsest level is above the dense limit shows only
-    # when it is built; solve failures come out as RuntimeError
+    # a hierarchy whose coarsest level is above the dense limit, or whose
+    # coarsening stagnates, shows only when it is built; solve failures
+    # come out as RuntimeError
     rows, col_labels = _usage(args, run_experiment, config)
     print(emit_table(rows, col_labels, args.format, args.max_iter, row_header))
     all_ok = all(rep.converged for _, row in rows for rep in row)

@@ -5,7 +5,13 @@ Kinds: 'gs' (forward Gauss-Seidel, (D+L)^-1; adjoint is backward GS),
 compose the error propagator, i.e. s sweeps give I - (I - RA)^s A-solve
 behaviour.
 
-Each Gauss-Seidel sweep is one kernel call, with no pass to scale by D^-1:
+Binding a smoother makes every choice once: it picks a pair of step
+functions, forward and backward, for R and R^t.  Gauss-Seidel steps on a
+small level are the two band dtbsv calls, on a larger one the two SuperLU
+gstrs calls; Jacobi and Richardson have one step for both, a scaling by
+omega/d or omega/rho(A).  apply and apply_transpose run the one sweep loop
+with their step: u = step(f), then sweeps - 1 times u = u + step(f - A u).
+Each Gauss-Seidel step is one kernel call, with no pass to scale by D^-1:
 both triangles are prepared once per level, when the smoother is bound.
 The backward sweep solves with D + L^t, which is D + U only for symmetric
 A: apply_transpose relies on A being symmetric, as every matrix the package
@@ -42,13 +48,14 @@ factor step adds 55-75 ms to the setup at 261121 unknowns and keeps
 SuperLU's workspace resident; spilu drops entries of M.
 """
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 
-from .linalg import as_csr, spectral_radius, spmv
+from .linalg import _vector, as_csr, spectral_radius, spmv
 
 # Largest (bw + 1) n, with bw the lower bandwidth, whose Gauss-Seidel
 # triangles are stored as bands.  A band sweep costs about 0.25-0.35 ns per
@@ -143,102 +150,73 @@ def _unit_lower_csc(A, d):
 
 
 class BoundSmoother:
-    """SmootherSpec bound to a concrete matrix, with its triangles or scaling."""
+    """SmootherSpec bound to a concrete matrix, as a pair of step functions."""
 
     def __init__(self, A, spec):
         self.A = A
         self.spec = spec
-        n = A.shape[0]
-        self._shape = (n,)
+        n = self._n = A.shape[0]
         d = A.diagonal()
         if np.any(d == 0.0):
             raise ValueError("zero diagonal entry at index %d"
                              % int(np.argmin(d != 0.0)))
-        self._one_gs_sweep = spec.kind == "gs" and spec.sweeps == 1
-        if spec.kind == "gs":
-            # no band can fit when n alone exceeds the limit; only smaller
-            # levels pay for reading the bandwidth
-            self._band = None
-            if n <= BAND_GS_LIMIT:
-                C = as_csr(A)
-                bw = _lower_bandwidth(C)
-                if (bw + 1) * n <= BAND_GS_LIMIT:
-                    self._bw = bw
-                    self._band = _bands(C, bw)
-            if self._band is None:
-                M = _unit_lower_csc(A, d)
-                # gstrs arguments: L = M, then an empty U
-                self._triangle = (n, M.nnz, M.data,
-                                  M.indices.astype(np.intc, copy=False),
-                                  M.indptr.astype(np.intc, copy=False),
-                                  n, 0, np.empty(0), np.empty(0, np.intc),
-                                  np.zeros(n + 1, np.intc))
-        elif spec.kind == "jacobi":
-            self._scale = spec.weight / d
-        else:  # richardson
-            self._scale = spec.weight / spectral_radius(A)
+        if spec.kind != "gs":
+            scale = spec.weight / (d if spec.kind == "jacobi" else spectral_radius(A))
+            self._forward = self._backward = partial(np.multiply, scale)
+            return
+        # no band can fit when n alone exceeds the limit; only smaller
+        # levels pay for reading the bandwidth
+        self._band = None
+        if n <= BAND_GS_LIMIT:
+            C = as_csr(A)
+            bw = _lower_bandwidth(C)
+            if (bw + 1) * n <= BAND_GS_LIMIT:
+                self._bw = bw
+                self._band = lower, upper = _bands(C, bw)
 
-    def _checked(self, f):
-        """f as a float vector, after the shape check."""
-        f = np.asarray(f, float)
-        if f.shape != self._shape:
-            n = self._shape[0]
-            if f.ndim == 1:
-                raise ValueError("dimension mismatch: smoother has %d unknowns, "
-                                 "vector has length %d" % (n, f.shape[0]))
-            raise ValueError("dimension mismatch: smoother has %d unknowns and "
-                             "takes one vector, got an array of shape %s"
-                             % (n, f.shape))
-        return f
+                def forward(f):
+                    # positional (incx, offx, lower): f2py parses them faster
+                    # than keywords; trans and diag keep their defaults, 0
+                    return dtbsv(bw, lower, f, 1, 0, 1)
+                self._forward, self._backward = forward, partial(dtbsv, bw, upper)
+                return
+        M = _unit_lower_csc(A, d)
+        # gstrs arguments: L = M, then an empty U
+        triangle = (n, M.nnz, M.data, M.indices.astype(np.intc, copy=False),
+                    M.indptr.astype(np.intc, copy=False),
+                    n, 0, np.empty(0), np.empty(0, np.intc), np.zeros(n + 1, np.intc))
 
-    def _forward(self, f):
-        """One forward Gauss-Seidel sweep, (D+L)^-1 f."""
-        if self._band is not None:
-            # positional (incx, offx, lower): f2py parses them faster than
-            # keywords; trans and diag keep their defaults, 0
-            return dtbsv(self._bw, self._band[0], f, 1, 0, 1)
-        # L-solve with M, then U-solve with D: D^-1 M^-1 f.  gstrs returns
-        # a new array and leaves b alone; its info flags only illegal
-        # arguments
-        return gstrs("N", *self._triangle, f)[0]
+        def forward(f):
+            # L-solve with M, then U-solve with D: D^-1 M^-1 f.  gstrs
+            # returns a new array and leaves b alone; its info flags only
+            # illegal arguments
+            return gstrs("N", *triangle, f)[0]
 
-    def _backward(self, f):
-        """One backward Gauss-Seidel sweep, (D+L^t)^-1 f = M^-t D^-1 f."""
-        if self._band is not None:
-            return dtbsv(self._bw, self._band[1], f)
-        return gstrs("T", *self._triangle, f)[0]
+        def backward(f):
+            # (D+L^t)^-1 f = M^-t D^-1 f
+            return gstrs("T", *triangle, f)[0]
+        self._forward, self._backward = forward, backward
 
-    def _single(self, f, transpose):
-        if self.spec.kind != "gs":
-            return self._scale * f
-        return self._backward(f) if transpose else self._forward(f)
-
-    def _sweeps(self, f, transpose):
-        u = self._single(f, transpose)
+    def _sweep(self, step, f):
+        """spec.sweeps steps from zero, after checking that f is a vector of
+        the level's length.  The result is a new array that shares no memory
+        with f, which the cycles add into in place: dtbsv copies x
+        (overwrite_x=0), gstrs returns a new array, and the scalings and the
+        sweep sum form new ones."""
+        f = _vector(f, self._n, "smoother input")
+        u = step(f)
         for _ in range(self.spec.sweeps - 1):
-            u = u + self._single(f - spmv(self.A, u), transpose)
+            u = u + step(f - spmv(self.A, u))
         return u
 
     def apply(self, f):
-        """R f, as a new array that shares no memory with f.  The cycles
-        call apply and apply_transpose once per level visit, mostly on
-        levels of a few dozen unknowns, so one Gauss-Seidel sweep goes
-        straight to its kernel.  Every path allocates its result: dtbsv
-        copies x (overwrite_x=0), gstrs returns a new array, and the
-        scalings and the sweep sum form new ones; the cycles add into it in
-        place."""
-        f = self._checked(f)
-        if self._one_gs_sweep:
-            return self._forward(f)
-        return self._sweeps(f, False)
+        """R f, as a new array that shares no memory with f."""
+        return self._sweep(self._forward, f)
 
     def apply_transpose(self, f):
         """R^t f (backward Gauss-Seidel; Jacobi/Richardson are self-adjoint),
         as a new array, like apply."""
-        f = self._checked(f)
-        if self._one_gs_sweep:
-            return self._backward(f)
-        return self._sweeps(f, True)
+        return self._sweep(self._backward, f)
 
 
 def bind(A, spec):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -9,12 +10,12 @@ from scipy.sparse.linalg import splu
 
 import mgbench.amli
 from mgbench import (CycleParams, DenseFactorization, Hierarchy,
-                     PCGBreakdownError, SmootherSpec, a_norm, apply_amli,
-                     apply_amli_ns, apply_amli_tilde, apply_amli_tilde_ns,
-                     apply_backslash, apply_cycle, apply_v_cycle, as_csr,
-                     assemble_poisson, bind, build_geometric, build_ua_amg,
-                     nonlinear_pcg, required_n, run_pcg, spmv,
-                     stationary_solve)
+                     PCGBreakdownError, SmootherSpec, SolveReport, a_norm,
+                     apply_amli, apply_amli_ns, apply_amli_tilde,
+                     apply_amli_tilde_ns, apply_backslash, apply_cycle,
+                     apply_v_cycle, as_csr, assemble_poisson, bind,
+                     build_geometric, build_ua_amg, nonlinear_pcg, required_n,
+                     run_pcg, spmv, stationary_solve)
 from test_hierarchy import with_parts
 
 P1 = CycleParams(n_inner=1)
@@ -312,6 +313,19 @@ def test_two_grid_hierarchy_on_shared_levels_gets_its_own_table():
     assert apply_v_cycle(h, 4, f).tobytes() == full.tobytes()
 
 
+def test_params_differing_only_in_kind_share_one_table():
+    """No cycle reads CycleParams.kind, so it takes no part in == or the
+    hash: params that differ only in kind used to build two identical visit
+    tables on one hierarchy."""
+    h = build_geometric("poisson", 4)
+    sym = CycleParams(n_inner=2)
+    ns = CycleParams(n_inner=2, kind="amli_nonsymmetric")
+    assert sym == ns and hash(sym) == hash(ns) and ns.kind == "amli_nonsymmetric"
+    f = np.random.default_rng(27).standard_normal(h.finest.A.shape[0])
+    assert apply_amli(h, 4, f, sym).tobytes() == apply_amli(h, 4, f, ns).tobytes()
+    assert len(h._tables) == 1
+
+
 def test_visit_tables_hold_no_reference_to_the_hierarchy():
     """With the cyclic collector off, a hierarchy that has cycled is freed
     as soon as its last reference goes: its visit tables form no cycle
@@ -534,6 +548,101 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CycleParams(kind="w_cycle")
     assert CycleParams(truncation=0).truncation == 0
+
+
+def reference_stationary_solve(operator, A, f, u0=None, tol=1e-6,
+                               max_iter=2000, u_exact=None):
+    """stationary_solve as it was written before it became one loop: a
+    status closure evaluated before each iteration and once more after the
+    last.  Kept as the reference its report must equal exactly."""
+    mgbench.amli.require_stopping(tol, max_iter)
+    u = np.zeros_like(f) if u0 is None else np.array(u0, float)
+    f_scale = np.linalg.norm(f)
+    if f_scale == 0.0:
+        f_scale = 1.0
+
+    def energy_error(v):
+        e = v - u_exact
+        return float(np.sqrt(max(np.dot(A @ e, e), 0.0)))
+
+    r = f - A @ u
+    residual_history = [float(np.linalg.norm(r))]
+    energy_history = [energy_error(u)] if u_exact is not None else None
+    start = residual_history[0]
+
+    def monitored():
+        if energy_history is None:
+            return residual_history[-1] / f_scale
+        return energy_history[-1]
+
+    def status():
+        if not math.isfinite(residual_history[-1]) or not math.isfinite(monitored()):
+            return "nonfinite"
+        if residual_history[-1] > mgbench.amli.DIVERGENCE_FACTOR * max(start, f_scale):
+            return "diverged"
+        return "converged" if monitored() <= tol else "max_iter"
+
+    iterations = 0
+    exit_status = None
+    while status() == "max_iter" and iterations < max_iter:
+        try:
+            u += operator(r)
+        except PCGBreakdownError:
+            exit_status = "breakdown"
+            break
+        iterations += 1
+        r = f - A @ u
+        residual_history.append(float(np.linalg.norm(r)))
+        if energy_history is not None:
+            energy_history.append(energy_error(u))
+    return SolveReport(iterations, exit_status or status(), residual_history,
+                       energy_history)
+
+
+def breaks_down_on_third_call(h):
+    """A V-cycle operator whose third call raises PCGBreakdownError."""
+    calls = []
+
+    def operator(r):
+        calls.append(1)
+        if len(calls) == 3:
+            raise PCGBreakdownError("PCG breakdown: zero-energy direction")
+        return apply_v_cycle(h, 4, r)
+    return operator
+
+
+# exit -> (fresh operator for h, extra stationary_solve arguments)
+EXITS = {
+    "converged": (lambda h: lambda r: apply_v_cycle(h, 4, r), {}),
+    "max_iter": (lambda h: lambda r: apply_v_cycle(h, 4, r), {"max_iter": 3}),
+    "diverged": (lambda h: lambda r: -1e7 * r, {}),
+    "nonfinite": (lambda h: lambda r: np.full_like(r, np.nan), {}),
+    "breakdown": (breaks_down_on_third_call, {}),
+}
+
+
+@pytest.mark.parametrize("mode", ["residual", "energy"])
+@pytest.mark.parametrize("status", list(EXITS))
+def test_stationary_solve_report_equals_reference_loop(h4, status, mode):
+    """The one-loop driver reports the reference's iterations, status and
+    histories bit for bit, for each exit, stopping on the relative residual
+    (Poisson load, zero start) or on the energy error (zero load, random
+    start, u_exact = 0, as the CLI solves the jump problem)."""
+    A = h4.finest.A
+    n = A.shape[0]
+    if mode == "residual":
+        args = {"f": assemble_poisson(4)[1]}
+    else:
+        args = {"f": np.zeros(n), "u_exact": np.zeros(n),
+                "u0": np.random.default_rng(28).standard_normal(n)}
+    make_operator, extra = EXITS[status]
+    got = stationary_solve(make_operator(h4), A, **args, **extra)
+    ref = reference_stationary_solve(make_operator(h4), A, **args, **extra)
+    assert got.status == ref.status == status
+    assert got.iterations == ref.iterations
+    for history in ("residual_history", "energy_error_history"):
+        assert repr(getattr(got, history)) == repr(getattr(ref, history))
+    assert (got.energy_error_history is None) == (mode == "residual")
 
 
 def test_stationary_solve_exact_operator_one_iteration():

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,18 @@ from mgbench import (DENSE_LIMIT, PCGBreakdownError, SolveReport, assemble_jump,
 from mgbench.cli import (FAMILIES, build_parser, build_problem, emit_table,
                          main, parse_int_list, parse_truncation, run_experiment,
                          size_to_level)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_module(*args):
+    """python -m mgbench.cli args in a subprocess that imports this
+    checkout's package, as a plain `python -m pytest` run does."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "mgbench.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def run_cli(args, capsys):
@@ -196,8 +210,7 @@ def test_verify_rejects_levels_above_dense_limit(monkeypatch, capsys):
         assert "level 8" in error and str(DENSE_LIMIT) in error
     with pytest.raises(Built):       # level 7 passes the bound
         main(["verify", "--levels", "7"])
-    proc = subprocess.run([sys.executable, "-m", "mgbench.cli", "verify",
-                           "--levels", "8"], capture_output=True, text=True)
+    proc = run_module("verify", "--levels", "8")
     assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
 
@@ -332,9 +345,8 @@ def test_verify_subcommand(capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "mgbench.cli", "run",
-                           "--problem", "poisson", "--levels", "2..2",
-                           "--cycle", "v"], capture_output=True, text=True)
+    proc = run_module("run", "--problem", "poisson", "--levels", "2..2",
+                      "--cycle", "v")
     assert proc.returncode == 0
     assert proc.stdout.startswith("k,V")
 
@@ -490,6 +502,19 @@ def test_coarsest_level_above_dense_limit_is_usage_error(command, capsys):
     CLI reports that as a usage error."""
     named = "the coarsest of 1 levels has 16129 unknowns, above the dense limit 4096"
     assert named in _usage_error(command.split(), capsys)
+
+
+@pytest.mark.parametrize("command", [
+    "hierarchy --problem ua_poisson --size 961 --theta 0.3",
+    "run --problem ua_poisson --size 961 --theta 0.3 --cycle v",
+])
+def test_stagnating_coarsening_is_usage_error(command, capsys):
+    """With theta = 0.3 aggregation keeps all 961 unknowns of the Poisson
+    matrix, so build_ua_amg raises CoarseningStagnation; that used to end
+    both commands in a traceback."""
+    named = ("mgbench %s: error: coarsening stagnated: aggregation kept 961 "
+             "unknowns on two consecutive levels" % command.split()[0])
+    assert _usage_error(command.split(), capsys) == named
 
 
 @pytest.mark.parametrize("command", ["hierarchy --levels 3 --seed 5",

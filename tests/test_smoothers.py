@@ -391,21 +391,24 @@ def test_sparse_gs_rejects_wrong_length():
 
 @pytest.mark.parametrize("k,spec,band", [(3, GS, True), (6, GS, False),
                                          (3, SmootherSpec("jacobi", 0.8), None),
-                                         (3, SmootherSpec("richardson", 0.8), None)])
+                                         (3, SmootherSpec("richardson", 0.8), None),
+                                         (3, SmootherSpec("gs", sweeps=2), True)])
 def test_smoother_rejects_wrong_length(k, spec, band):
-    # band GS (49 unknowns), sparse GS (3969), Jacobi and Richardson; each
+    # band GS (49 unknowns), sparse GS (3969), Jacobi, Richardson and two
+    # band GS sweeps; each
     # wrong length used to broadcast or fail inside BLAS, and an n x s
     # block used to be scaled along the wrong axis, silently, or to fail
-    # in a numpy broadcast
+    # in a numpy broadcast.  The message is linalg._vector's, as in the
+    # cycles and run_pcg
     A, _ = assemble_poisson(k)
     sm = bind(A, spec)
     n = A.shape[0]
     if band is not None:
         assert (sm._band is not None) == band
-    wrong = [((m,), r"\b%d unknowns, vector has length %d\b" % (n, m))
+    wrong = [((m,), r"\bmatrix is %d, smoother input has length %d$" % (n, m))
              for m in (1, n - 1, n + 1)]
-    wrong += [(shape, r"\b%d unknowns and takes one vector, got an array of "
-                      r"shape %s" % (n, re.escape(str(shape))))
+    wrong += [(shape, r"\bmatrix is %d, smoother input has shape %s, not a "
+                      r"vector$" % (n, re.escape(str(shape))))
               for shape in ((n, 1), (n, 2), (2, n), ())]
     for shape, message in wrong:
         for method in (sm.apply, sm.apply_transpose):
