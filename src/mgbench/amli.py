@@ -25,7 +25,8 @@ apply_transpose and the coarsest solver's solve each return a new array
 that shares no memory with its input.  Every BoundSmoother path and
 DenseFactorization.solve does so, and so every cycle returns an array of
 its own.  Nothing updates f, a residual or a search direction in place:
-PcgState keeps them.
+PcgState keeps them, and run_pcg takes f itself as its first residual
+until it returns (see there), so no cycle may change its argument.
 """
 import math
 from dataclasses import dataclass, field
@@ -95,24 +96,29 @@ def run_pcg(A, precond, f, params):
 
     The AMLI cycles call this thousands of times on small levels, so its own
     work is kept low.  Residuals are stored uncopied: r is only ever rebound,
-    never updated in place, and r_0 is a copy of f.  The iterate is formed
+    never updated in place.  r_0 is f itself while the steps run (a strided
+    f is copied to a contiguous one first), and it is copied once, on
+    return, so that the state shares no memory with f.  This relies on a
+    rule: precond must not change its argument, or it would write into the
+    caller's f.  Every cycle of this module keeps it.  The iterate is formed
     on return from the stored directions: alpha_0 p_0, a new array, then
     each later alpha_i p_i added into it in place, the additions of
-    u_{i+1} = u_i + alpha_i p_i in their order.  So no iterate is held
-    while the preconditioner runs, where a cycle's own arrays and the
-    sparse solver's workspace peak.  Starting from alpha_0 p_0 rather than
-    0 + alpha_0 p_0 can differ only in the sign of an exact zero.  Inner
-    products are x.dot(y), the kernel np.dot ends in without np.dot's
-    dispatch, and norms sqrt(r.r), as np.linalg.norm computes them.  The
-    state is built once, on return.
+    u_{i+1} = u_i + alpha_i p_i in their order.  So neither an iterate nor
+    a copy of f is held while the preconditioner runs, where a cycle's own
+    arrays and the sparse solver's workspace peak.  Starting from
+    alpha_0 p_0 rather than 0 + alpha_0 p_0 can differ only in the sign of
+    an exact zero.  Inner products are x.dot(y), the kernel np.dot ends in
+    without np.dot's dispatch, and norms sqrt(r.r), as np.linalg.norm
+    computes them.  The state is built once, on return.
     """
     f = _vector(f, A.shape[0], "right-hand side")
-    r = f.copy()
+    r = np.ascontiguousarray(f)
     directions = []
     residuals = [r]
     f_norm = math.sqrt(r.dot(r))
     if f_norm == 0.0:
-        return PcgState(np.zeros_like(f), r, directions, residuals)
+        r = r.copy()
+        return PcgState(np.zeros_like(f), r, directions, [r])
 
     trunc = params.truncation
     alphas = []
@@ -142,6 +148,7 @@ def run_pcg(A, precond, f, params):
     u = alphas[0] * directions[0][0]
     for alpha, (p, _ap, _energy) in zip(alphas[1:], directions[1:]):
         u += alpha * p
+    residuals[0] = residuals[0].copy()
     return PcgState(u, r, directions, residuals)
 
 

@@ -115,7 +115,13 @@ def _vector(v, n, name):
 
 def a_norm(A, x):
     """Energy norm sqrt((A x, x)); negative quadratic form raises NonSPDError."""
-    q = float(spmv(A, x).dot(x))
+    return energy_norm(spmv(A, x), x)
+
+
+def energy_norm(Ax, x):
+    """a_norm given the product Ax already formed, for callers that need
+    Ax too; the same check and the same result."""
+    q = float(Ax.dot(x))
     if q < 0.0 and q < -1e-12 * float(np.dot(x, x)):
         raise NonSPDError("(Ax, x) = %.3e < 0: operator is not SPD" % q)
     return float(np.sqrt(max(q, 0.0)))

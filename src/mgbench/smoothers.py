@@ -10,7 +10,7 @@ functions, forward and backward, for R and R^t.  Gauss-Seidel steps on a
 small level are the two band dtbsv calls, on a larger one the two SuperLU
 gstrs calls; Jacobi and Richardson have one step for both, a scaling by
 omega/d or omega/rho(A).  apply and apply_transpose run the one sweep loop
-with their step: u = step(f), then sweeps - 1 times u = u + step(f - A u).
+with their step: u = step(f), then sweeps - 1 times u += step(f - A u).
 Each Gauss-Seidel step is one kernel call, with no pass to scale by D^-1:
 both triangles are prepared once per level, when the smoother is bound.
 The backward sweep solves with D + L^t, which is D + U only for symmetric
@@ -160,6 +160,7 @@ class BoundSmoother:
         if np.any(d == 0.0):
             raise ValueError("zero diagonal entry at index %d"
                              % int(np.argmin(d != 0.0)))
+        self._later_sweeps = range(spec.sweeps - 1)
         if spec.kind != "gs":
             scale = spec.weight / (d if spec.kind == "jacobi" else spectral_radius(A))
             self._forward = self._backward = partial(np.multiply, scale)
@@ -201,12 +202,12 @@ class BoundSmoother:
         """spec.sweeps steps from zero, after checking that f is a vector of
         the level's length.  The result is a new array that shares no memory
         with f, which the cycles add into in place: dtbsv copies x
-        (overwrite_x=0), gstrs returns a new array, and the scalings and the
-        sweep sum form new ones."""
+        (overwrite_x=0), gstrs returns a new array, and the scalings form
+        new ones.  So each later sweep adds into u in place."""
         f = _vector(f, self._n, "smoother input")
         u = step(f)
-        for _ in range(self.spec.sweeps - 1):
-            u = u + step(f - spmv(self.A, u))
+        for _ in self._later_sweeps:
+            u += step(f - spmv(self.A, u))
         return u
 
     def apply(self, f):

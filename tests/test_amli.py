@@ -885,3 +885,30 @@ def test_pcg_stores_each_residual_once_and_apart_from_f(h4):
     assert np.array_equal(r0, f)
     f[:] = 0.0
     assert np.array_equal(state.residuals[0], r0)
+
+
+@pytest.mark.parametrize("kind", ["contiguous", "offset slice", "strided"])
+def test_pcg_runs_on_f_and_copies_it_on_return(h4, kind):
+    """r_0 is a contiguous f itself while the preconditioner runs, and a
+    copy of a strided one; the returned state shares no memory with f and
+    has the copying reference's bits."""
+    A = h4.finest.A
+    n = A.shape[0]
+    base = np.random.default_rng(18).standard_normal(2 * n + 3)
+    f = {"contiguous": base[:n].copy(), "offset slice": base[3:n + 3],
+         "strided": base[::2][:n]}[kind]
+    received = []
+
+    def precond(g):
+        received.append(g)
+        return apply_v_cycle(h4, 4, g)
+    params = CycleParams(n_inner=3)
+    state = run_pcg(A, precond, f, params)
+    assert np.shares_memory(received[0], f) == (kind != "strided")
+    for r in state.residuals:
+        assert not np.shares_memory(r, f)
+    u, residuals, energies = reference_run_pcg(A, precond, f, params)
+    assert [r.tobytes() for r in state.residuals] == \
+        [r.tobytes() for r in residuals]
+    assert state.iterate.tobytes() == u.tobytes()
+    assert [e for _, _, e in state.directions] == energies

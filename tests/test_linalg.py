@@ -155,6 +155,15 @@ def test_a_norm_rejects_non_spd():
         a_norm(B, np.array([1.0, 2.0]))
 
 
+def test_energy_norm_takes_the_formed_product():
+    rng = np.random.default_rng(4)
+    A = random_spd(30, rng)
+    x = rng.standard_normal(30)
+    assert linalg.energy_norm(spmv(A, x), x) == a_norm(A, x)
+    with pytest.raises(NonSPDError):
+        linalg.energy_norm(-spmv(A, x), x)
+
+
 def test_a_inner_positivity_random_spd():
     rng = np.random.default_rng(3)
     A = random_spd(30, rng)

@@ -321,6 +321,61 @@ def test_comparison_suite_truncated_records_identity_gap(h4):
     assert np.isfinite(rep.measured["identity_max_rel"])
 
 
+def reference_comparison_measured(h, params, samples, seed):
+    """check_comparison_suite's measured values as its loop computed them
+    before it reused A v and A e_t: each energy norm forms its own product
+    with a_norm."""
+    from mgbench import (a_norm, apply_amli, apply_amli_ns, apply_amli_tilde,
+                         apply_amli_tilde_ns, apply_backslash, apply_v_cycle)
+    from mgbench.linalg import spmv
+
+    rng = rng_for(seed, "comparison_suite")
+    min_slack_sym = min_slack_ns = np.inf
+    max_identity_rel = max_ratio = 0.0
+    for k in range(2, h.n_levels + 1):
+        A = h.level(k).A
+        for _ in range(samples):
+            v = rng.standard_normal(A.shape[0])
+            nv2 = a_norm(A, v) ** 2
+            if nv2 == 0.0:
+                continue
+            Av = spmv(A, v)
+            e_t = v - apply_amli_tilde(h, k, Av, params)
+            e_h = v - apply_amli(h, k, Av, params)
+            e_v = v - apply_v_cycle(h, k, Av)
+            q_t = float(spmv(A, e_t).dot(v))
+            q_h = float(spmv(A, e_h).dot(v))
+            q_v = float(spmv(A, e_v).dot(v))
+            min_slack_sym = min(min_slack_sym, q_t / nv2,
+                                (q_h - q_t) / nv2, (q_v - q_h) / nv2)
+            r_t = a_norm(A, e_t)
+            max_identity_rel = max(max_identity_rel, abs(r_t ** 2 - q_t) / nv2)
+            r_tn = a_norm(A, v - apply_amli_tilde_ns(h, k, Av, params))
+            r_hn = a_norm(A, v - apply_amli_ns(h, k, Av, params))
+            r_bn = a_norm(A, v - apply_backslash(h, k, Av))
+            nv = np.sqrt(nv2)
+            min_slack_ns = min(min_slack_ns, (r_hn - r_tn) / nv,
+                               (r_bn - r_hn) / nv)
+            if r_bn > 0.0:
+                max_ratio = max(max_ratio, r_t / r_bn)
+    return {"sym_chain_min_slack": min_slack_sym,
+            "ns_chain_min_slack": min_slack_ns,
+            "identity_max_rel": max_identity_rel,
+            "tilde_vs_backslash_max_ratio": max_ratio}
+
+
+@pytest.mark.parametrize("params", [CycleParams(n_inner=1), CycleParams(n_inner=2),
+                                    CycleParams(n_inner=2, truncation="sd")],
+                         ids=["n1", "n2", "sd"])
+@pytest.mark.parametrize("problem", ["poisson", "jump"])
+def test_comparison_suite_matches_reference_loop(problem, params):
+    h = build_geometric(problem, 4)
+    rep = check_comparison_suite(h, params, samples=4, seed=7)
+    reference = reference_comparison_measured(h, params, 4, 7)
+    assert {key: float(x).hex() for key, x in rep.measured.items()} == \
+        {key: float(x).hex() for key, x in reference.items()}
+
+
 def test_zero_vector_maps_to_zero(h4):
     from mgbench import apply_amli_tilde
 
