@@ -2,10 +2,11 @@
 
 A Hierarchy stores levels coarsest-first; level(k) with k = 1..n_levels
 follows that order (1 is coarsest).  Prolongators sit on the coarse level
-they interpolate from (P_to_finer), restriction is always the transpose,
-Level.R.  A built hierarchy is immutable: levels is a tuple of frozen
-Levels, so a changed part means a new hierarchy (dataclasses.replace).
-A part's own contents, such as a matrix's arrays, are not changed in place.
+they interpolate from (P_to_finer), in the format their builder writes:
+CSC for geometric, CSR for UA-AMG.  Restriction is the transpose view,
+Level.R.  A built hierarchy is immutable: levels is a tuple of frozen Levels,
+so a changed part means a new hierarchy (dataclasses.replace), and no
+part's contents, such as a matrix's arrays, change in place.
 A geometric hierarchy assembles every level on its own mesh; the UA-AMG
 coarse operators are Galerkin products of the finest matrix.  Assembly and
 each product are exactly symmetric by construction, so a builder checks the
@@ -49,9 +50,8 @@ class Level:
 
     @property
     def R(self):
-        """Restriction P_to_finer^t (None on the finest level).  Each access
-        forms a transpose; the cycle engine binds it once per visit table
-        (amli._visits)."""
+        """Restriction P_to_finer^t, a view of P's arrays (None on the
+        finest level); the cycle engine binds it once per visit table."""
         return None if self.P_to_finer is None else self.P_to_finer.T
 
 
@@ -98,8 +98,9 @@ def geometric_prolongator(k):
     Coincident coarse nodes get weight 1; fine nodes at the midpoints of
     coarse edges (horizontal, vertical, and the lower-left/upper-right
     diagonal of each coarse cell) get 1/2 from each edge endpoint.  Every
-    coarse column holds those seven entries, so the matrix is written in CSC
-    and converted to canonical CSR, at most two entries per fine row.
+    coarse column holds those seven entries, so the matrix is kept in the
+    canonical CSC it is written in: prolongation is a column scatter, and
+    its transpose Level.R a CSR view, so restriction is a row gather.
     """
     if k < 2:
         raise ValueError("prolongator needs k >= 2, got %d" % k)
@@ -113,7 +114,7 @@ def geometric_prolongator(k):
     weights[:, 3] = 1.0
     indptr = np.arange(0, 7 * nc * nc + 1, 7, dtype=np.int32)
     P = sp.csc_matrix((weights.ravel(), rows.ravel(), indptr),
-                      shape=(nf * nf, nc * nc)).tocsr()
+                      shape=(nf * nf, nc * nc))
     P.has_canonical_format = True
     return P
 

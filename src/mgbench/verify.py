@@ -46,18 +46,15 @@ _CANDIDATE_LIMIT = 1500   # dense extremal candidates only below this size
 
 
 def _coarse_projector(h, k):
-    """A-orthogonal projection onto the next-coarser space at level k.
-
-    Realized as v -> P (P^t A P)^{-1} P^t A v with a dense factorization of
-    the coarse operator; only valid while that operator fits the dense limit.
-    """
-    lv = h.level(k)
+    """A-orthogonal projection onto the next-coarser space at level k as a
+    function of the formed product: A v -> P (P^t A P)^{-1} P^t A v, with a
+    dense factorization of the coarse operator (within the dense limit)."""
     coarser = h.level(k - 1)
     P, R = coarser.P_to_finer, coarser.R
     coarse = DenseFactorization(coarser.A)
 
-    def project(v):
-        return P @ coarse.solve(R @ (lv.A @ v))
+    def project(Av):
+        return P @ coarse.solve(R @ Av)
 
     return project
 
@@ -68,10 +65,10 @@ def _two_grid_model(h, k):
     E = (I - R^t A)(I - Pi)(I - R A) is A-self-adjoint with A E = F^t S F."""
     lv = h.level(k)
     project = _coarse_projector(h, k)
-    eye = np.eye(lv.A.shape[0])
+    columns = [(e, lv.A @ e) for e in np.eye(lv.A.shape[0])]
     A = lv.A.toarray()
-    S = A @ np.column_stack([e - project(e) for e in eye])
-    F = np.column_stack([e - lv.smoother.apply(lv.A @ e) for e in eye])
+    S = A @ np.column_stack([e - project(Ae) for e, Ae in columns])
+    F = np.column_stack([e - lv.smoother.apply(Ae) for e, Ae in columns])
     return A, (S + S.T) * 0.5, F
 
 
@@ -115,10 +112,10 @@ def _approximation_constant(h, k, samples, seed, model):
         pool.append(_pencil_top(S, A @ A, semidefinite=True)[1])
     c1 = 0.0
     for v in pool:
-        num = a_norm(lv.A, v - project(v)) ** 2
-        den = float(np.dot(lv.A @ v, lv.A @ v))
+        Av = lv.A @ v
+        den = float(np.dot(Av, Av))
         if den > 0.0:
-            c1 = max(c1, rho * num / den)
+            c1 = max(c1, rho * a_norm(lv.A, v - project(Av)) ** 2 / den)
     return CheckReport(name="approximation_constant_l%d" % k,
                        passed=np.isfinite(c1) and c1 > 0.0,
                        measured={"c1_hat": c1, "rho": rho},
@@ -150,16 +147,18 @@ def _smoothed_projection_bound(h, k, samples, seed, model):
     eta = 0.0
     used = 0
     for v in pool:
-        vhat = v - lv.smoother.apply(lv.A @ v)
-        nv = a_norm(lv.A, v) ** 2
-        den = nv - a_norm(lv.A, vhat) ** 2
+        Av = lv.A @ v
+        vhat = v - lv.smoother.apply(Av)
+        Avhat = lv.A @ vhat
+        nv = energy_norm(Av, v) ** 2
+        den = nv - energy_norm(Avhat, vhat) ** 2
         guard = 1e-14 * nv
         if den < -guard:
             raise RuntimeError("smoother not A-convergent: energy grew by %.3e" % -den)
         if den < guard:
             continue
         used += 1
-        eta = max(eta, a_norm(lv.A, vhat - project(vhat)) ** 2 / den)
+        eta = max(eta, a_norm(lv.A, vhat - project(Avhat)) ** 2 / den)
     delta = eta / (1.0 + eta)
     return CheckReport(name="smoothed_projection_l%d" % k,
                        passed=delta < 1.0 and used > 0,

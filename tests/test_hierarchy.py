@@ -6,8 +6,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import mgbench.hierarchy
-from mgbench import (Aggregation, CoarseningStagnation, DENSE_LIMIT, Level,
-                     NonSPDError, aggregate, apply_v_cycle, as_csr,
+from mgbench import (Aggregation, CoarseningStagnation, CycleParams,
+                     DENSE_LIMIT, Level, NonSPDError, aggregate, apply_amli,
+                     apply_amli_ns, apply_amli_tilde, apply_amli_tilde_ns,
+                     apply_backslash, apply_v_cycle, as_csr,
                      assemble_jump, assemble_poisson, a_norm, build_geometric,
                      build_ua_amg, geometric_prolongator,
                      piecewise_constant_prolongator, rap, symmetry_error)
@@ -84,13 +86,29 @@ def loop_prolongator(k):
     return as_csr(sp.csr_matrix((vals, (rows, cols)), shape=(nf * nf, nc * nc)))
 
 
+def assert_regular_csc(P):
+    """P is canonical CSC with the seven entries of a coarse node's stencil
+    in every column: its transpose, the same arrays read as CSR, passes the
+    canonical CSR check."""
+    assert P.format == "csc" and P.has_canonical_format
+    assert_canonical_csr(P.T)
+    assert np.array_equal(P.indptr, np.arange(0, 7 * P.shape[1] + 1, 7))
+
+
+def assert_same_csr(P, ref):
+    """P's rows as canonical CSR hold exactly ref's arrays and dtypes."""
+    assert P.shape == ref.shape
+    rows = P.tocsr()
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(rows, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("k", range(2, 10))
 def test_geometric_prolongator_matches_loop_reference(k):
-    P, ref = geometric_prolongator(k), loop_prolongator(k)
-    assert P.shape == ref.shape
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(P, name), getattr(ref, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    P = geometric_prolongator(k)
+    assert_regular_csc(P)
+    assert_same_csr(P, loop_prolongator(k))
 
 
 def coo_geometric_prolongator(k):
@@ -112,13 +130,35 @@ def coo_geometric_prolongator(k):
 @pytest.mark.parametrize("k", range(2, 10))
 def test_geometric_prolongator_matches_coo_reference(k):
     P, ref = geometric_prolongator(k), coo_geometric_prolongator(k)
-    assert P.format == ref.format == "csr"
-    assert P.shape == ref.shape
-    assert P.has_canonical_format and ref.has_canonical_format
-    assert_canonical_csr(P)
-    for name in ("indptr", "indices", "data"):
-        got, want = getattr(P, name), getattr(ref, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert_regular_csc(P)
+    assert ref.format == "csr" and ref.has_canonical_format
+    assert_same_csr(P, ref)
+
+
+@pytest.mark.parametrize("problem", ["poisson", "jump"])
+def test_csc_transfers_match_csr_transfers(problem):
+    """A geometric prolongator is CSC, so its Level.R is CSR: restriction
+    is a row gather and prolongation a column scatter.  Both add each row's
+    terms in ascending index order from zero, as the CSR prolongator and its
+    CSC transpose do, so every cycle gives the same bytes as on the same
+    hierarchy with each P_to_finer converted to CSR."""
+    h = build_geometric(problem, 5)
+    rows = dataclasses.replace(h, levels=[
+        lv if lv.P_to_finer is None
+        else dataclasses.replace(lv, P_to_finer=lv.P_to_finer.tocsr())
+        for lv in h.levels])
+    for lv in h.levels[:-1]:
+        assert type(lv.R) is sp.csr_matrix
+    k = h.n_levels
+    f = np.random.default_rng(11).standard_normal(h.finest.A.shape[0])
+    for fn in (apply_v_cycle, apply_backslash):
+        assert fn(h, k, f).tobytes() == fn(rows, k, f).tobytes(), fn.__name__
+    for params in (CycleParams(n_inner=1), CycleParams(n_inner=2),
+                   CycleParams(n_inner=2, truncation="sd")):
+        for fn in (apply_amli, apply_amli_ns, apply_amli_tilde,
+                   apply_amli_tilde_ns):
+            assert (fn(h, k, f, params).tobytes()
+                    == fn(rows, k, f, params).tobytes()), (fn.__name__, params)
 
 
 def test_prolongator_k2_shape_and_values():

@@ -28,7 +28,7 @@ def test_projection_annihilates_coarse_vectors(h4):
     rng = np.random.default_rng(0)
     vc = rng.standard_normal(P.shape[1])
     v = P @ vc
-    assert np.linalg.norm(v - project(v)) <= 1e-11 * np.linalg.norm(v)
+    assert np.linalg.norm(v - project(h4.level(4).A @ v)) <= 1e-11 * np.linalg.norm(v)
 
 
 @pytest.mark.parametrize("build", [
@@ -66,7 +66,7 @@ def sandwich_two_grid_factor(h, k):
 
     def two_grid_error(v):
         w = v - lv.smoother.apply(lv.A @ v)
-        w = w - project(w)
+        w = w - project(lv.A @ w)
         return w - lv.smoother.apply_transpose(lv.A @ w)
 
     E = np.column_stack([two_grid_error(e) for e in np.eye(A.shape[0])])
@@ -206,6 +206,39 @@ def test_smoothed_projection_delta_below_one(h4):
     assert rep.measured["delta_hat"] < 1.0
     eta = rep.measured["eta_hat"]
     assert rep.measured["delta_hat"] == pytest.approx(eta / (1 + eta))
+
+
+class CountingMatrix:
+    """A level matrix that counts its products with vectors; spmv hands
+    any type but csr_matrix and csc_matrix to `@`, so a_norm counts too."""
+
+    def __init__(self, M):
+        self.M, self.shape, self.products = M, M.shape, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.M @ x
+
+    def toarray(self):
+        return self.M.toarray()
+
+
+def test_theory_checks_form_each_product_once(h4):
+    """Per sample, c1 forms A v and A(v - Pi v) and eta forms A v, A vhat
+    and A(vhat - Pi vhat); the dense two-grid model forms A e once per unit
+    column.  Ten more samples cost exactly that many more products (the
+    power iteration and the dense candidate cost the same at both sizes)."""
+    def products(run):
+        A = CountingMatrix(h4.level(4).A)
+        run(with_parts(h4, 4, A=A))
+        return A.products
+
+    for check, per_sample in ((check_approximation_constant, 2),
+                              (check_smoothed_projection_bound, 3)):
+        counts = [products(lambda h: check(h, 4, samples=samples))
+                  for samples in (10, 20)]
+        assert counts[1] - counts[0] == 10 * per_sample, check.__name__
+    assert products(lambda h: _two_grid_model(h, 4)) == h4.level(4).A.shape[0]
 
 
 def test_eta_consistent_with_constant_ratio_richardson():
