@@ -10,8 +10,7 @@ from .hierarchy import (Aggregation, CoarseningStagnation, Hierarchy, Level,
                         geometric_prolongator, piecewise_constant_prolongator)
 from .linalg import (DENSE_LIMIT, DenseFactorization, NonSPDError, a_norm,
                      as_csr, rap, spectral_radius, spmv, symmetry_error)
-from .problems import (CoefficientField, MeshLevel, assemble_jump,
-                       assemble_poisson)
+from .problems import assemble_jump, assemble_poisson
 from .smoothers import BoundSmoother, SmootherSpec, bind
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -128,9 +128,10 @@ def build_geometric(problem, k_max, smoother=None):
     The coefficient is constant on every element of the coarsest mesh used
     (the jump regions have corners at multiples of 1/4), so each level
     equals the Galerkin product P^t A P of the finer one up to round-off:
-    bit for bit for Poisson.  The jump hierarchy stops at mesh level 2: the
-    single level-1 node cannot represent the coefficient regions, which
-    stalls the island near-kernel modes.
+    bit for bit for Poisson.  The hierarchy starts at the matrix's lowest
+    mesh level in MATRICES: below the jump matrix's, a single node cannot
+    represent the coefficient regions, which stalls the island near-kernel
+    modes.
     """
     if problem not in MATRICES:
         raise ValueError("unknown problem %r" % problem)
@@ -139,7 +140,7 @@ def build_geometric(problem, k_max, smoother=None):
     if not 2 <= k_max <= MAX_LEVEL:
         raise ValueError("need 2 <= k_max <= %d, got %d" % (MAX_LEVEL, k_max))
 
-    mesh_levels = list(range(1 if problem == "poisson" else 2, k_max + 1))
+    mesh_levels = list(range(MATRICES[problem], k_max + 1))
     levels = []
     for k in mesh_levels:
         A, _ = assemble(problem, k)

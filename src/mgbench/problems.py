@@ -11,17 +11,22 @@ is assembled node by node straight into its CSR arrays, with no zeros.  The
 SW-NE diagonal is an edge of the two triangles of its cell, but in each the
 gradients of its end nodes' hat functions are orthogonal (one varies in x
 only, the other in y only), so the coupling is zero whatever the coefficient.
+
+Each model problem is a plain function of k that hands its coefficient
+a(x, y) to `_assemble`.  `MATRICES` states each matrix's lowest mesh level
+once; `build_geometric` starts its hierarchies there.
 """
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 MAX_LEVEL = 12
 
-# the model problems' matrices: the constant-coefficient Laplacian and the
-# jump coefficient
-MATRICES = ("poisson", "jump")
+# the model problems' matrices, the constant-coefficient Laplacian and the
+# jump coefficient, each with the coarsest mesh level that resolves its
+# coefficient (the jump regions have corners at multiples of 1/4)
+MATRICES = {"poisson": 1, "jump": 2}
 
 # local stiffness (coefficient 1) for the two right triangles of a cell:
 # lower (v0, v1, v2) = (SW, SE, NE), upper (v0, v2, v3) = (SW, NE, NW)
@@ -33,58 +38,21 @@ _K_UPPER = 0.5 * np.array([[1.0, 0.0, -1.0],
                            [-1.0, -1.0, 2.0]])
 
 
-@dataclass(frozen=True)
-class MeshLevel:
-    """Uniform grid at refinement level k."""
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_LEVEL:
-            raise ValueError("level k must be in 1..%d, got %d" % (MAX_LEVEL, self.k))
-
-    @property
-    def cells_per_side(self):
-        return 2 ** self.k
-
-    @property
-    def h(self):
-        return 2.0 ** -self.k
-
-    @property
-    def nodes_per_side(self):
-        return 2 ** self.k - 1
-
-    @property
-    def n_interior(self):
-        return self.nodes_per_side ** 2
+def _grid(k):
+    """Interior nodes per side and mesh width h of mesh level k."""
+    if not 1 <= k <= MAX_LEVEL:
+        raise ValueError("level k must be in 1..%d, got %d" % (MAX_LEVEL, k))
+    return 2 ** k - 1, 2.0 ** -k
 
 
-@dataclass(frozen=True)
-class CoefficientField:
-    """Scalar diffusion coefficient a(x), evaluated at element barycenters.
-
-    kind 'constant' is a(x) = 1.  kind 'jump' is 1 on the two squares
-    (0.25,0.5)^2 and (0.5,0.75)^2 and low_value elsewhere.
-    """
-    kind: str = "constant"
-    low_value: float = 1e-6
-
-    def __post_init__(self):
-        if self.kind not in ("constant", "jump"):
-            raise ValueError("unknown coefficient kind %r" % self.kind)
-        if self.low_value <= 0.0:
-            raise ValueError("low_value must be positive, got %g" % self.low_value)
-
-    def __call__(self, x, y):
-        x = np.asarray(x)
-        y = np.asarray(y)
-        if self.kind == "constant":
-            return np.ones_like(x)
-        a = np.full_like(x, self.low_value)
-        in1 = (x > 0.25) & (x < 0.5) & (y > 0.25) & (y < 0.5)
-        in2 = (x > 0.5) & (x < 0.75) & (y > 0.5) & (y < 0.75)
-        a[in1 | in2] = 1.0
-        return a
+def _jump(x, y, low):
+    """The jump coefficient: 1 on the two squares (0.25,0.5)^2 and
+    (0.5,0.75)^2, low elsewhere."""
+    a = np.full_like(x, low)
+    in1 = (x > 0.25) & (x < 0.5) & (y > 0.25) & (y < 0.5)
+    in2 = (x > 0.5) & (x < 0.75) & (y > 0.5) & (y < 0.75)
+    a[in1 | in2] = 1.0
+    return a
 
 
 def _stencil_rows(out, line, d, w, e, s, n):
@@ -106,12 +74,12 @@ def _stencil_rows(out, line, d, w, e, s, n):
     last[1::4], last[2::4] = d[-1], e[-1]
 
 
-def _assemble(mesh, coefficient):
-    """Stiffness matrix over interior nodes, summed node by node from the
-    triangles' coefficients times _K_LOWER/_K_UPPER, written straight to CSR."""
-    m = mesh.cells_per_side
-    h = mesh.h
-    N = mesh.nodes_per_side
+def _assemble(k, coefficient):
+    """Stiffness matrix over the interior nodes of mesh level k, summed node
+    by node from coefficient(x, y) at the triangles' barycenters times
+    _K_LOWER/_K_UPPER, written straight to CSR."""
+    N, h = _grid(k)
+    m = N + 1
 
     # coefficient at the barycenters of each cell's triangles, indexed [cy, cx]:
     # (x0 + 2h/3, y0 + h/3) for the lower one, (x0 + h/3, y0 + 2h/3) for the upper
@@ -153,33 +121,37 @@ def load_vector(problem, k):
     'poisson', the zero load of 'jump'."""
     if problem not in MATRICES:
         raise ValueError("unknown problem %r" % problem)
-    mesh = MeshLevel(k)
+    N, h = _grid(k)
     if problem == "jump":
-        return np.zeros(mesh.n_interior)
+        return np.zeros(N * N)
     # each of a node's six triangles (area h^2/2) gives it a third of its
     # area; added one at a time, as an element-by-element sum does
     load = 0.0
     for _ in range(6):
-        load += (mesh.h * mesh.h / 2.0) / 3.0
-    return np.full(mesh.n_interior, load)
+        load += (h * h / 2.0) / 3.0
+    return np.full(N * N, load)
 
 
 def assemble_poisson(k):
     """Poisson stiffness matrix and f=1 load vector at level k."""
-    A = _assemble(MeshLevel(k), CoefficientField("constant"))
+    A = _assemble(k, lambda x, y: np.ones_like(x))
     return A, load_vector("poisson", k)
 
 
 def assemble_jump(k, low=1e-6):
     """Jump-coefficient stiffness matrix and the zero load vector (f = 0).
 
-    Requires k >= 2 so the coefficient-region corners at 0.25/0.5/0.75 are
-    grid points and no element straddles an interface.
+    The coefficient, `_jump`, is 1 on two squares and low elsewhere.
+    Requires k >= MATRICES["jump"] so the region corners are grid points
+    and no element straddles an interface.
     """
-    if k < 2:
-        raise ValueError("jump problem needs k >= 2 "
-                         "(coefficient regions not resolvable at k=%d)" % k)
-    A = _assemble(MeshLevel(k), CoefficientField("jump", low_value=low))
+    lowest = MATRICES["jump"]
+    if k < lowest:
+        raise ValueError("jump problem needs k >= %d "
+                         "(coefficient regions not resolvable at k=%d)" % (lowest, k))
+    if not 0.0 < low < np.inf:
+        raise ValueError("low_value must be positive and finite, got %g" % low)
+    A = _assemble(k, partial(_jump, low=low))
     return A, load_vector("jump", k)
 
 

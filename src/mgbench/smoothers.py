@@ -92,6 +92,9 @@ class SmootherSpec:
                              % self.kind)
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1, got %d" % self.sweeps)
+        # Gauss-Seidel has no weight, so one other than 1 would go unused
+        if self.kind == "gs" and self.weight != 1.0:
+            raise ValueError("gs takes no weight, got %g" % self.weight)
         # Richardson scales by omega/rho(A), so omega < 2 is omega/rho < 2/rho
         if self.kind != "gs" and not 0.0 < self.weight < 2.0:
             raise ValueError("%s weight must lie in (0, 2), got %g"

@@ -196,19 +196,22 @@ def check_error_representation(h, k, params=None, samples=20, seed=DEFAULT_SEED)
     for e in np.eye(n):
         Ae = A @ e
         vhat = e - R(Ae)
+        rc = restrict @ (A @ vhat)
         record("error_form_ns", e - apply_amli_ns(h, k, Ae, params),
-               vhat - P @ apply_amli_tilde_ns(h, k - 1, restrict @ (A @ vhat), params))
-        w = vhat - P @ apply_amli_tilde(h, k - 1, restrict @ (A @ vhat), params)
+               vhat - P @ apply_amli_tilde_ns(h, k - 1, rc, params))
+        w = vhat - P @ apply_amli_tilde(h, k - 1, rc, params)
         record("error_form_sym", e - apply_amli(h, k, Ae, params), w - Rt(A @ w))
 
     rng = rng_for(seed, "error_representation_l%d" % k)
     for _ in range(samples):
         v = rng.standard_normal(n)
         rv = R(v)
+        s = v - A @ rv
+        rc = restrict @ s
         record("operator_form_ns", apply_amli_ns(h, k, v, params),
-               rv + P @ apply_amli_tilde_ns(h, k - 1, restrict @ (v - A @ rv), params))
-        rbar = rv + Rt(v - A @ rv)
-        w = P @ apply_amli_tilde(h, k - 1, restrict @ (v - A @ rv), params)
+               rv + P @ apply_amli_tilde_ns(h, k - 1, rc, params))
+        rbar = rv + Rt(s)
+        w = P @ apply_amli_tilde(h, k - 1, rc, params)
         record("operator_form_sym", apply_amli(h, k, v, params), rbar + w - Rt(A @ w))
 
     rel = {key: worst[key] / max(scale[key], 1e-300) for key in worst}

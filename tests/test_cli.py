@@ -168,8 +168,7 @@ def test_build_problem_assembles_the_finest_matrix_once(problem, k, monkeypatch)
     calls = []
     assemble = mgbench.problems._assemble
     monkeypatch.setattr(mgbench.problems, "_assemble",
-                        lambda mesh, *args: calls.append(mesh.k)
-                        or assemble(mesh, *args))
+                        lambda k, *args: calls.append(k) or assemble(k, *args))
     A, f, h = build_problem(problem, k)
     assert calls.count(k) == 1
     assert np.shares_memory(h.finest.A.data, A.data)
@@ -471,6 +470,8 @@ def test_hierarchy_has_no_report_flag(capsys):
     ("run --sweeps 0", "sweeps must be >= 1, got 0"),
     ("run --smoother jacobi --weight 3", "jacobi weight must lie in (0, 2)"),
     ("run --smoother richardson --weight 0", "richardson weight must lie"),
+    ("run --smoother gs --weight 7", "gs takes no weight, got 7"),
+    ("run --weight 0.5", "gs takes no weight, got 0.5"),
     ("run --problem ua_poisson --min-coarse 0", "min_coarse must be >= 1"),
     ("run --problem ua_poisson --size 3969 --theta 1.5", "theta must lie"),
     ("run --problem ua_poisson --size 49 --theta 1.5", "theta must lie"),

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mgbench import (CoefficientField, DenseFactorization, MeshLevel,
-                     assemble_jump, assemble_poisson, geometric_prolongator,
-                     rap, symmetry_error)
+from mgbench import (DenseFactorization, assemble_jump, assemble_poisson,
+                     geometric_prolongator, rap, symmetry_error)
 from mgbench.problems import _K_LOWER, _K_UPPER, load_vector
 
 
@@ -16,14 +15,28 @@ def five_point_stencil(k):
     return (sp.kron(sp.identity(n), T) + off).tocsr()
 
 
+def unit_coefficient(x, y):
+    return np.ones_like(x)
+
+
+def jump_coefficient(low):
+    """The jump coefficient, written out here rather than taken from the
+    code under test: 1 on the open squares (1/4, 1/2)^2 and (1/2, 3/4)^2,
+    low elsewhere."""
+    def a(x, y):
+        lower = (0.25 < x) & (x < 0.5) & (0.25 < y) & (y < 0.5)
+        upper = (0.5 < x) & (x < 0.75) & (0.5 < y) & (y < 0.75)
+        return np.where(lower | upper, 1.0, low)
+    return a
+
+
 def element_assembly(k, coefficient):
     """Element-by-element reference: every triangle's local stiffness as COO
     triplets on the full grid, duplicates summed by scipy, then the interior
     rows and columns sliced out.  Keeps the always-zero SW-NE couplings as
     stored zeros."""
-    mesh = MeshLevel(k)
-    m = mesh.cells_per_side
-    h = mesh.h
+    m = 2 ** k
+    h = 2.0 ** -k
     n_full = (m + 1) * (m + 1)
     cx, cy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
     cx = cx.ravel()
@@ -88,7 +101,7 @@ def assert_five_point_pattern(A, k):
 @pytest.mark.parametrize("k", range(1, 10))
 def test_poisson_equals_element_assembly(k):
     A, f = assemble_poisson(k)
-    ref, ref_f = element_assembly(k, CoefficientField("constant"))
+    ref, ref_f = element_assembly(k, unit_coefficient)
     assert ref.nnz - np.count_nonzero(ref.data) == 2 * (2 ** k - 2) ** 2
     ref.eliminate_zeros()
     assert_five_point_pattern(A, k)
@@ -101,8 +114,7 @@ def test_poisson_equals_element_assembly(k):
 @pytest.mark.parametrize("k", range(2, 10))
 def test_jump_equals_element_assembly(k):
     A, f = assemble_jump(k)
-    field = CoefficientField("jump", low_value=1e-6)
-    ref, _ = element_assembly(k, field)
+    ref, _ = element_assembly(k, jump_coefficient(1e-6))
     ref.eliminate_zeros()
     assert_five_point_pattern(A, k)
     assert np.array_equal(A.indptr, ref.indptr)
@@ -193,8 +205,13 @@ def test_load_vector_takes_matrix_names_only():
 def test_jump_rejects_unresolvable_level():
     with pytest.raises(ValueError, match="k >= 2"):
         assemble_jump(1)
-    with pytest.raises(ValueError):
-        assemble_jump(3, low=-1.0)
+
+
+@pytest.mark.parametrize("low", [-1.0, 0.0, float("nan"), float("inf")])
+def test_jump_rejects_low_outside_zero_to_infinity(low):
+    # a NaN or infinite low would fill most of the matrix with NaN or inf
+    with pytest.raises(ValueError, match="low_value must be positive and finite"):
+        assemble_jump(3, low=low)
 
 
 def test_condition_grows_as_contrast_increases():
@@ -243,19 +260,17 @@ def test_jump_matrix_reflects_with_coefficient_regions():
     assert (abs(A - Ap)).max() <= 1e-14
 
 
-def test_mesh_level_fields():
-    m = MeshLevel(3)
-    assert m.cells_per_side == 8
-    assert m.h == 0.125
-    assert m.n_interior == 49
-    with pytest.raises(ValueError):
-        MeshLevel(0)
-
-
-def test_coefficient_field_values():
-    field = CoefficientField("jump", low_value=1e-6)
-    x = np.array([0.3, 0.6, 0.1, 0.45])
-    y = np.array([0.3, 0.6, 0.1, 0.70])
-    assert np.array_equal(field(x, y), [1.0, 1.0, 1e-6, 1e-6])
-    with pytest.raises(ValueError):
-        CoefficientField("striped")
+def test_mesh_levels_and_coefficients_through_the_assemblers():
+    for assemble in (assemble_poisson, assemble_jump):
+        A, f = assemble(3)
+        assert A.shape == (49, 49) and f.shape == (49,)
+        with pytest.raises(ValueError, match="level k must be in 1..12, got 13"):
+            assemble(13)
+    with pytest.raises(ValueError, match="level k must be in 1..12, got 0"):
+        assemble_poisson(0)
+    # the six triangles around the level-4 node nearest each point lie in
+    # the point's coefficient region, so that node's diagonal is 4 a(x, y)
+    diag = assemble_jump(4, low=1e-6)[0].diagonal().reshape(15, 15)
+    for x, y, a in ((0.3, 0.3, 1.0), (0.6, 0.6, 1.0), (0.1, 0.1, 1e-6),
+                    (0.45, 0.70, 1e-6)):
+        assert diag[round(16 * y) - 1, round(16 * x) - 1] == pytest.approx(4.0 * a)

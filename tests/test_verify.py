@@ -227,10 +227,13 @@ def test_theory_checks_form_each_product_once(h4):
     """Per sample, c1 forms A v and A(v - Pi v) and eta forms A v, A vhat
     and A(vhat - Pi vhat); the dense two-grid model forms A e once per unit
     column.  Ten more samples cost exactly that many more products (the
-    power iteration and the dense candidate cost the same at both sizes)."""
-    def products(run):
-        A = CountingMatrix(h4.level(4).A)
-        run(with_parts(h4, 4, A=A))
+    power iteration and the dense candidate cost the same at both sizes).
+    The error representation check forms, cycle products included, 6
+    products per unit column (A e, A vhat, A w and three in the cycles)
+    and 5 per sample (A rv, A w and three in the cycles)."""
+    def products(run, h=h4, k=4):
+        A = CountingMatrix(h.level(k).A)
+        run(with_parts(h, k, A=A))
         return A.products
 
     for check, per_sample in ((check_approximation_constant, 2),
@@ -239,6 +242,10 @@ def test_theory_checks_form_each_product_once(h4):
                   for samples in (10, 20)]
         assert counts[1] - counts[0] == 10 * per_sample, check.__name__
     assert products(lambda h: _two_grid_model(h, 4)) == h4.level(4).A.shape[0]
+    h3 = build_geometric("poisson", 3)
+    counts = [products(lambda h: check_error_representation(h, 3, samples=samples),
+                       h3, 3) for samples in (10, 20)]
+    assert counts == [49 * 6 + samples * 5 for samples in (10, 20)]
 
 
 def test_eta_consistent_with_constant_ratio_richardson():
