@@ -260,7 +260,9 @@ def test_jump_matrix_reflects_with_coefficient_regions():
     assert (abs(A - Ap)).max() <= 1e-14
 
 
-def test_mesh_levels_and_coefficients_through_the_assemblers():
+def test_mesh_level_fields():
+    # the mesh level is private to the assemblers; its sizes and range
+    # errors show through both of them
     for assemble in (assemble_poisson, assemble_jump):
         A, f = assemble(3)
         assert A.shape == (49, 49) and f.shape == (49,)
@@ -268,6 +270,9 @@ def test_mesh_levels_and_coefficients_through_the_assemblers():
             assemble(13)
     with pytest.raises(ValueError, match="level k must be in 1..12, got 0"):
         assemble_poisson(0)
+
+
+def test_coefficient_field_values():
     # the six triangles around the level-4 node nearest each point lie in
     # the point's coefficient region, so that node's diagonal is 4 a(x, y)
     diag = assemble_jump(4, low=1e-6)[0].diagonal().reshape(15, 15)
