@@ -34,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .linalg import _bound_matvec, _vector, spmv
+from .linalg import _bound_matvec, _count, _vector, spmv
 
 RESIDUAL_EXIT_REL = 1e-14
 BREAKDOWN_REL = 1e-30
@@ -50,8 +50,10 @@ class CycleParams:
     """Inner-iteration configuration for the nonlinear AMLI cycles.
 
     truncation is 'full', 'sd' (steepest descent, no orthogonalization),
-    or a non-negative int m (orthogonalize against the m+1 most recent
-    directions).
+    or an integer m >= 0 (orthogonalize against the m+1 most recent
+    directions); n_inner is an integer >= 1.  Python and numpy integers
+    both pass (linalg._count), and equal values give equal, equally
+    hashed params.
 
     kind is validated but no cycle reads it: the cycle function called
     (apply_amli or apply_amli_ns, and their tilde forms) picks the symmetric
@@ -64,12 +66,9 @@ class CycleParams:
     kind: str = field(default="amli_symmetric", compare=False)
 
     def __post_init__(self):
-        if self.n_inner < 1:
-            raise ValueError("n_inner must be >= 1, got %d" % self.n_inner)
-        t = self.truncation
-        if not (t == "full" or t == "sd" or (isinstance(t, int) and t >= 0)):
-            raise ValueError("truncation must be 'full', 'sd' or an int m >= 0, "
-                             "got %r" % (t,))
+        _count("n_inner", self.n_inner)
+        if self.truncation not in ("full", "sd"):
+            _count("unless 'full' or 'sd', truncation", self.truncation, least=0)
         if self.kind not in ("amli_symmetric", "amli_nonsymmetric"):
             raise ValueError("unknown cycle kind %r" % self.kind)
 
@@ -303,12 +302,11 @@ class SolveReport:
 
 
 def require_stopping(tol, max_iter):
-    """Raise ValueError unless tol > 0 and max_iter >= 1, stationary_solve's
-    rule."""
+    """Raise ValueError unless tol > 0 and max_iter is an integer >= 1,
+    stationary_solve's rule."""
     if not tol > 0.0:
         raise ValueError("tol must be > 0, got %g" % tol)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1, got %d" % max_iter)
+    _count("max_iter", max_iter)
 
 
 def stationary_solve(operator, A, f, u0=None, tol=1e-6, max_iter=2000,

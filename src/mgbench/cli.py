@@ -314,6 +314,8 @@ def cmd_run(args):
 def cmd_verify(args):
     _usage(args, require_samples, args.samples)
     for k in args.levels:
+        if k < 1:
+            args.parser.error("level %d is below 1, the coarsest level" % k)
         # the coarse projector at level k factors the level-(k-1) operator densely
         n_coarse = (2 ** (k - 1) - 1) ** 2
         if n_coarse > DENSE_LIMIT:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import DENSE_LIMIT, DenseFactorization, _galerkin, as_csr, rap
+from .linalg import DENSE_LIMIT, DenseFactorization, _count, _galerkin, as_csr, rap
 from .problems import MATRICES, MAX_LEVEL, assemble
 from .smoothers import SmootherSpec, bind
 
@@ -32,14 +32,12 @@ class CoarseningStagnation(RuntimeError):
 
 
 def require_coarsening(theta, min_coarse=1, max_levels=1):
-    """Raise ValueError unless 0 <= theta < 1, min_coarse >= 1 and
-    max_levels >= 1."""
+    """Raise ValueError unless 0 <= theta < 1 and min_coarse and
+    max_levels are integers >= 1."""
     if not 0.0 <= theta < 1.0:
         raise ValueError("theta must lie in [0, 1), got %g" % theta)
-    if min_coarse < 1:
-        raise ValueError("min_coarse must be >= 1, got %d" % min_coarse)
-    if max_levels < 1:
-        raise ValueError("max_levels must be >= 1, got %d" % max_levels)
+    _count("min_coarse", min_coarse)
+    _count("max_levels", max_levels)
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,8 +39,13 @@ def symmetry_error(A):
 
 
 def require_symmetric(A, rtol=1e-14):
-    """Raise unless max|A_ij - A_ji| <= rtol * max|A_ij|."""
+    """Raise NonSPDError unless every entry is finite and
+    max|A_ij - A_ji| <= rtol * max|A_ij|.  An inf or NaN entry makes
+    max|A_ij| inf or NaN (max propagates NaN); unchecked, it would pass the
+    symmetry test, since a comparison with NaN is false."""
     scale = float(np.abs(A.data).max()) if A.nnz else 0.0
+    if not np.isfinite(scale):
+        raise NonSPDError("matrix has an inf or NaN entry: max |A_ij| is %g" % scale)
     err = symmetry_error(A)
     if err > rtol * max(scale, 1e-300):
         raise NonSPDError("matrix is not symmetric: max asymmetry %.3e "
@@ -111,6 +116,19 @@ def _vector(v, n, name):
         raise ValueError("dimension mismatch: matrix is %d, %s has %s"
                          % (n, name, got))
     return v
+
+
+def _count(name, value, least=1):
+    """Raise ValueError, naming the setting and the value, unless value is
+    an integer >= least: the one check of every count setting (steps,
+    sweeps, iterations, levels, samples).  Python and numpy integers pass
+    (operator.index); a float, even 2.0, a string or None does not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (name, value)) from None
+    if value < least:
+        raise ValueError("%s must be >= %d, got %d" % (name, least, value))
 
 
 def a_norm(A, x):

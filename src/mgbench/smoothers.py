@@ -55,7 +55,7 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 
-from .linalg import _vector, as_csr, spectral_radius, spmv
+from .linalg import _count, _vector, as_csr, spectral_radius, spmv
 
 # Largest (bw + 1) n, with bw the lower bandwidth, whose Gauss-Seidel
 # triangles are stored as bands.  A band sweep costs about 0.25-0.35 ns per
@@ -90,8 +90,7 @@ class SmootherSpec:
         if self.kind not in KINDS:
             raise ValueError("unknown smoother kind %r (expected gs|jacobi|richardson)"
                              % self.kind)
-        if self.sweeps < 1:
-            raise ValueError("sweeps must be >= 1, got %d" % self.sweeps)
+        _count("sweeps", self.sweeps)
         # Gauss-Seidel has no weight, so one other than 1 would go unused
         if self.kind == "gs" and self.weight != 1.0:
             raise ValueError("gs takes no weight, got %g" % self.weight)

@@ -14,7 +14,7 @@ import scipy.linalg as sla
 
 from .amli import CycleParams, apply_amli, apply_amli_ns, apply_amli_tilde, \
     apply_amli_tilde_ns, apply_backslash, apply_v_cycle, required_n
-from .linalg import DenseFactorization, a_norm, energy_norm, \
+from .linalg import DenseFactorization, _count, a_norm, energy_norm, \
     spectral_radius, spmv
 
 DEFAULT_SEED = 20240501
@@ -59,12 +59,12 @@ def _coarse_projector(h, k):
     return project
 
 
-def _two_grid_model(h, k):
+def _two_grid_model(h, k, project):
     """Dense A, S = A(I - Pi) (symmetrized) and F = I - R A at level k, with
-    R the level's smoother.  Every dense quantity here is a pencil of them:
-    E = (I - R^t A)(I - Pi)(I - R A) is A-self-adjoint with A E = F^t S F."""
+    R the level's smoother and Pi = project, _coarse_projector(h, k).  Every
+    dense quantity here is a pencil of them: E = (I - R^t A)(I - Pi)(I - R A)
+    is A-self-adjoint with A E = F^t S F."""
     lv = h.level(k)
-    project = _coarse_projector(h, k)
     columns = [(e, lv.A @ e) for e in np.eye(lv.A.shape[0])]
     A = lv.A.toarray()
     S = A @ np.column_stack([e - project(Ae) for e, Ae in columns])
@@ -83,10 +83,13 @@ def _pencil_top(num, den, semidefinite=False):
     return float(w[-1]), vecs[:, -1]
 
 
-def _lazy_model(h, k):
-    """A function that builds _two_grid_model(h, k) on its first call and
-    returns that model on every call."""
-    return functools.cache(functools.partial(_two_grid_model, h, k))
+def _level_tools(h, k):
+    """What the dense checks of level k share: its coarse projector, built
+    now, and a function that builds _two_grid_model(h, k, project) on its
+    first call and returns that model on every call.  So one level's c1, eta
+    and two-grid checks factor its coarse operator once."""
+    project = _coarse_projector(h, k)
+    return project, functools.cache(functools.partial(_two_grid_model, h, k, project))
 
 
 def check_approximation_constant(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
@@ -96,14 +99,13 @@ def check_approximation_constant(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEE
     Rayleigh candidate of the pencil (A(I-Pi), A^2); random sampling alone
     badly underestimates the supremum.  Still an estimate, not a certificate.
     """
-    return _approximation_constant(h, k, samples, seed, _lazy_model(h, k))
+    return _approximation_constant(h, k, samples, seed, *_level_tools(h, k))
 
 
-def _approximation_constant(h, k, samples, seed, model):
-    """check_approximation_constant, given _lazy_model(h, k)."""
+def _approximation_constant(h, k, samples, seed, project, model):
+    """check_approximation_constant, given _level_tools(h, k)."""
     lv = h.level(k)
     n = lv.A.shape[0]
-    project = _coarse_projector(h, k)
     rho = spectral_radius(lv.A)
     rng = rng_for(seed, "approximation_constant_l%d" % k)
     pool = [rng.standard_normal(n) for _ in range(samples)]
@@ -130,14 +132,13 @@ def check_smoothed_projection_bound(h, k, samples=DEFAULT_SAMPLES, seed=DEFAULT_
     Near-degenerate denominators (below 1e-14 ||v||_A^2) are skipped; a
     negative denominator means the smoother is not A-convergent and raises.
     """
-    return _smoothed_projection_bound(h, k, samples, seed, _lazy_model(h, k))
+    return _smoothed_projection_bound(h, k, samples, seed, *_level_tools(h, k))
 
 
-def _smoothed_projection_bound(h, k, samples, seed, model):
-    """check_smoothed_projection_bound, given _lazy_model(h, k)."""
+def _smoothed_projection_bound(h, k, samples, seed, project, model):
+    """check_smoothed_projection_bound, given _level_tools(h, k)."""
     lv = h.level(k)
     n = lv.A.shape[0]
-    project = _coarse_projector(h, k)
     rng = rng_for(seed, "smoothed_projection_l%d" % k)
     pool = [rng.standard_normal(n) for _ in range(samples)]
     if n <= _CANDIDATE_LIMIT:
@@ -226,7 +227,7 @@ def check_two_grid_factor(h, k):
     """A-norm of the symmetric two-grid error propagator E at level k (dense):
     E is A-self-adjoint and A-semidefinite, so ||E||_A is the top eigenvalue
     of the pencil (A E, A) = (F^t S F, A).  A non-SPD level raises ValueError."""
-    return _two_grid_factor(_two_grid_model(h, k))
+    return _two_grid_factor(_two_grid_model(h, k, _coarse_projector(h, k)))
 
 
 def _two_grid_factor(model):
@@ -250,7 +251,8 @@ def check_comparison_suite(h, params=None, samples=DEFAULT_SAMPLES,
     Only the nonsymmetric chain is asserted for truncated/steepest-descent
     runs; the symmetric chain and the identity rest on the residual
     orthogonality that the full version alone guarantees, so for truncated
-    runs they are recorded without contributing to pass/fail.
+    runs they are recorded without contributing to pass/fail.  A suite that
+    used no sample (samples = 0, or every v of zero energy) does not pass.
     """
     if params is None:
         params = CycleParams(n_inner=1)
@@ -309,7 +311,7 @@ def check_comparison_suite(h, params=None, samples=DEFAULT_SAMPLES,
     violation = max(pieces)
     return CheckReport(
         name="comparison_suite_%s_n%d" % (str(params.truncation), params.n_inner),
-        passed=violation <= 1.0,
+        passed=violation <= 1.0 and total > 0,
         measured={"sym_chain_min_slack": min_slack_sym,
                   "ns_chain_min_slack": min_slack_ns,
                   "identity_max_rel": max_identity_rel,
@@ -318,9 +320,8 @@ def check_comparison_suite(h, params=None, samples=DEFAULT_SAMPLES,
 
 
 def require_samples(samples):
-    """Raise ValueError unless samples >= 1, run_suite's rule."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1, got %d" % samples)
+    """Raise ValueError unless samples is an integer >= 1, run_suite's rule."""
+    _count("samples", samples)
 
 
 def run_suite(h, levels, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
@@ -328,16 +329,16 @@ def run_suite(h, levels, samples=DEFAULT_SAMPLES, seed=DEFAULT_SEED):
     per hierarchy index k in `levels` (1 = coarsest, k < 2 skipped) c1, eta,
     the error representation at k <= 3 and the dense two-grid factor at
     k <= 5; then the comparison chains with n = 1 and 2 over all levels.
-    Each level's dense two-grid model is built once, for all three of its
-    dense checks."""
+    Each level's coarse projector and dense two-grid model are built once,
+    for all three of its dense checks (_level_tools)."""
     require_samples(samples)
     reports = []
     for k in levels:
         if k < 2:
             continue
-        model = _lazy_model(h, k)
-        reports.append(_approximation_constant(h, k, samples, seed, model))
-        reports.append(_smoothed_projection_bound(h, k, samples, seed, model))
+        project, model = _level_tools(h, k)
+        reports.append(_approximation_constant(h, k, samples, seed, project, model))
+        reports.append(_smoothed_projection_bound(h, k, samples, seed, project, model))
         if k <= 3:
             reports.append(check_error_representation(h, k, seed=seed))
         if k <= 5:

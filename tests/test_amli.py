@@ -698,10 +698,15 @@ def test_stationary_solve_names_breakdown_exit():
     ({"tol": -1.0}, "tol must be > 0, got -1"), ({"tol": 0.0}, "tol must be > 0"),
     ({"tol": float("nan")}, "tol must be > 0, got nan"),
     ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+    ({"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ({"max_iter": float("inf")}, "max_iter must be an integer, got inf"),
 ])
 def test_stationary_solve_rejects_unreachable_stop(kwargs, named):
     """tol <= 0 used to run to max_iter and report 'max_iter'; max_iter 0
-    reported the untouched start as 'max_iter'."""
+    reported the untouched start as 'max_iter'; iterations == max_iter never
+    holds for 2.5 or inf, so an operator that missed tol ran forever.  (The
+    recording operator returns None, so a solve that let such a max_iter
+    through would end in a TypeError at its first call, not in a loop.)"""
     A, f = assemble_poisson(3)
     calls = []
     with pytest.raises(ValueError, match=named):

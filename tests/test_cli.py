@@ -493,6 +493,18 @@ def test_bad_settings_are_usage_errors(command, named, monkeypatch, capsys):
     assert named in _usage_error(command.split(), capsys)
 
 
+@pytest.mark.parametrize("levels, named", [
+    ("0", "level 0 is below 1"), (" -3", "level -3 is below 1"),
+    ("0..3", "level 0 is below 1"),
+])
+def test_verify_level_below_one_is_usage_error(levels, named, monkeypatch,
+                                               capsys):
+    """verify --levels 0 used to build a hierarchy, check no level and
+    exit 0 with only the comparison rows."""
+    _forbid_building(monkeypatch)
+    assert named in _usage_error(["verify", "--levels", levels], capsys)
+
+
 @pytest.mark.parametrize("command", [
     "hierarchy --problem ua_poisson --size 16129 --max-levels 1",
     "run --problem ua_poisson --size 16129 --max-levels 1 --cycle v",

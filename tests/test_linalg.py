@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from mgbench import (DenseFactorization, NonSPDError, a_norm, as_csr,
-                     assemble_poisson, linalg, rap, spectral_radius, spmv,
-                     symmetry_error)
+from mgbench import (CycleParams, DenseFactorization, NonSPDError, SmootherSpec,
+                     a_norm, as_csr, assemble_poisson, build_geometric,
+                     build_ua_amg, geometric_prolongator, linalg, rap,
+                     spectral_radius, spmv, stationary_solve, symmetry_error)
+from mgbench.verify import run_suite
 
 RNG = np.random.default_rng(20240501)
 
@@ -300,6 +304,68 @@ def test_spectral_radius_poisson_vs_dense_eig():
     A, _ = assemble_poisson(3)
     exact = np.linalg.eigvalsh(A.toarray()).max()
     assert spectral_radius(A) == pytest.approx(exact, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rap_rejects_a_non_finite_matrix(bad):
+    """One NaN or inf entry used to pass the symmetry check (the asymmetry
+    is NaN or inf, and so is the scale it is compared with), and rap
+    returned a coarse operator with NaN entries."""
+    A, _ = assemble_poisson(3)
+    A = A.copy()
+    A.data[5] = bad
+    named = "matrix has an inf or NaN entry: max |A_ij| is %g" % bad
+    with pytest.raises(NonSPDError, match=re.escape(named)):
+        rap(geometric_prolongator(3), A)
+
+
+def _ua_sizes(**coarsening):
+    return [lv.A.shape[0] for lv in
+            build_ua_amg(assemble_poisson(4)[0], **coarsening).levels]
+
+
+def _jacobi_solve(max_iter):
+    A, f = assemble_poisson(2)
+    return stationary_solve(lambda r: r / A.diagonal(), A, f, max_iter=max_iter)
+
+
+def _suite_rows(samples):
+    return [r.csv_row() for r in
+            run_suite(build_geometric("poisson", 2), [2], samples=samples)]
+
+
+# (setting, what it makes or runs given a value, a valid integer value)
+COUNT_SETTINGS = [
+    ("n_inner", lambda v: CycleParams(n_inner=v), 2),
+    ("truncation", lambda v: CycleParams(truncation=v), 1),
+    ("sweeps", lambda v: SmootherSpec(sweeps=v), 2),
+    ("max_iter", _jacobi_solve, 3),
+    ("min_coarse", lambda v: _ua_sizes(min_coarse=v), 10),
+    ("max_levels", lambda v: _ua_sizes(max_levels=v), 2),
+    ("samples", _suite_rows, 3),
+]
+
+
+@pytest.mark.parametrize("name, make, valid", COUNT_SETTINGS,
+                         ids=[name for name, _, _ in COUNT_SETTINGS])
+def test_count_settings_take_integers_only(name, make, valid):
+    """Every count setting is checked by one rule, linalg._count: 2.5 is a
+    ValueError naming the setting (it used to fail later with a TypeError,
+    build three levels without a word, or loop forever as max_iter), and a
+    numpy integer gives what the Python integer gives."""
+    with pytest.raises(ValueError, match="%s must be an integer, got 2.5" % name):
+        make(2.5)
+    result = make(valid)
+    assert make(np.int64(valid)) == result
+    if name in ("n_inner", "truncation"):
+        # equal params hash alike, so they share one visit table
+        assert hash(make(np.int64(valid))) == hash(result)
+
+
+def test_integer_truncation_below_zero_names_the_other_truncations():
+    with pytest.raises(ValueError, match="unless 'full' or 'sd', truncation "
+                                         "must be >= 0, got -2"):
+        CycleParams(truncation=-2)
 
 
 def test_symmetry_flag_tolerance():

@@ -48,7 +48,7 @@ def test_two_grid_model_matches_closed_form(build):
     Ac = h.level(k - 1).A.toarray()
     reference = A - (A @ P) @ np.linalg.solve(Ac, P.T @ A)
     reference = (reference + reference.T) * 0.5
-    A_out, S, F = _two_grid_model(h, k)
+    A_out, S, F = _two_grid_model(h, k, _coarse_projector(h, k))
     assert np.array_equal(A_out, A)
     assert np.linalg.norm(S - reference) <= 1e-12 * np.linalg.norm(reference)
     for j, e in enumerate(np.eye(A.shape[0])):
@@ -120,14 +120,21 @@ def test_two_grid_factor_rejects_non_spd_level():
 
 def test_run_suite_rows_and_order(monkeypatch):
     """Which check runs at which level, and in which order: the per-level
-    checks and the dense model are stubbed, so only run_suite's own
-    bookkeeping runs.  The three dense checks of a level share one model,
-    built at most once."""
+    checks, the coarse projector and the dense model are stubbed, so only
+    run_suite's own bookkeeping runs.  The three dense checks of a level
+    share one projector, built once, and one model built from it at most
+    once."""
     calls = []
+    projectors = []
     models = []
 
-    def model(h, k):
+    def projector(h, k):
+        projectors.append(k)
+        return ("project", k)
+
+    def model(h, k, project):
         models.append(k)
+        assert project == ("project", k)
         return ("model", k)
 
     def stub(name):
@@ -137,8 +144,8 @@ def test_run_suite_rows_and_order(monkeypatch):
         return check
 
     def dense_stub(name):
-        def check(h, k, samples, seed, level_model):
-            calls.append((name, k, (samples, seed, level_model()), {}))
+        def check(h, k, samples, seed, project, level_model):
+            calls.append((name, k, (samples, seed, project, level_model()), {}))
             return CheckReport(name="%s_l%d" % (name, k), passed=True)
         return check
 
@@ -151,6 +158,7 @@ def test_run_suite_rows_and_order(monkeypatch):
         monkeypatch.setattr(mgbench.verify, check, dense_stub(name))
     monkeypatch.setattr(mgbench.verify, "check_error_representation",
                         stub("error_representation"))
+    monkeypatch.setattr(mgbench.verify, "_coarse_projector", projector)
     monkeypatch.setattr(mgbench.verify, "_two_grid_model", model)
     monkeypatch.setattr(mgbench.verify, "_two_grid_factor", lambda m: m[1] / 10)
     monkeypatch.setattr(mgbench.verify, "check_comparison_suite", comparison)
@@ -167,10 +175,12 @@ def test_run_suite_rows_and_order(monkeypatch):
         "two_grid_factor_l5",
         "approximation_constant_l6", "smoothed_projection_l6",
         "comparison_n1", "comparison_n2"]
-    assert models == [2, 3, 4, 5, 6]
+    assert projectors == models == [2, 3, 4, 5, 6]
     assert calls[-2:] == [("comparison", 1, 10, 9), ("comparison", 2, 10, 9)]
-    assert ("approximation_constant", 4, (30, 9, ("model", 4)), {}) in calls
-    assert ("smoothed_projection", 6, (30, 9, ("model", 6)), {}) in calls
+    assert ("approximation_constant", 4,
+            (30, 9, ("project", 4), ("model", 4)), {}) in calls
+    assert ("smoothed_projection", 6,
+            (30, 9, ("project", 6), ("model", 6)), {}) in calls
     assert ("error_representation", 3, (), {"seed": 9}) in calls
     two_grid = reports[3]
     assert two_grid.passed and two_grid.samples == 0
@@ -241,7 +251,8 @@ def test_theory_checks_form_each_product_once(h4):
         counts = [products(lambda h: check(h, 4, samples=samples))
                   for samples in (10, 20)]
         assert counts[1] - counts[0] == 10 * per_sample, check.__name__
-    assert products(lambda h: _two_grid_model(h, 4)) == h4.level(4).A.shape[0]
+    assert products(lambda h: _two_grid_model(h, 4, _coarse_projector(h, 4))) \
+        == h4.level(4).A.shape[0]
     h3 = build_geometric("poisson", 3)
     counts = [products(lambda h: check_error_representation(h, 3, samples=samples),
                        h3, 3) for samples in (10, 20)]
@@ -267,7 +278,7 @@ def _smoothing_constant(h, k):
     times the least eigenvalue of R + R^t - R^t A R, which is that of the
     composite R + R^t - R A R^t when R is symmetric or, for Gauss-Seidel,
     when A's diagonal is constant (the two are R^t D R and R D R^t)."""
-    A, _S, F = _two_grid_model(h, k)
+    A, _S, F = _two_grid_model(h, k, _coarse_projector(h, k))
     return spectral_radius(h.level(k).A) / _pencil_top(A @ A, A - F.T @ A @ F)[0]
 
 
@@ -350,6 +361,30 @@ def test_comparison_suite_passes_full(h4):
     rep = check_comparison_suite(h4, CycleParams(n_inner=1), samples=15)
     assert rep.passed, rep.measured
     assert rep.measured["tilde_vs_backslash_max_ratio"] < 1.0
+
+
+def test_comparison_suite_without_samples_does_not_pass(h4):
+    """samples = 0 measures nothing; the suite used to pass with every
+    slack at +inf."""
+    rep = check_comparison_suite(h4, CycleParams(n_inner=1), samples=0)
+    assert not rep.passed and rep.samples == 0
+
+
+def test_run_suite_factors_each_coarse_operator_once(monkeypatch):
+    """c1, eta and the dense two-grid model of a level share one coarse
+    projector, so run_suite factors each level's coarse operator once (it
+    used to factor it three times at k <= 5)."""
+    h = build_geometric("poisson", 5)
+    dims = []
+
+    class Counting(mgbench.verify.DenseFactorization):
+        def __init__(self, A):
+            dims.append(A.shape[0])
+            super().__init__(A)
+
+    monkeypatch.setattr(mgbench.verify, "DenseFactorization", Counting)
+    assert all(r.passed for r in run_suite(h, [2, 3, 4, 5], samples=10))
+    assert dims == [1, 9, 49, 225]
 
 
 def test_comparison_suite_truncated_records_identity_gap(h4):
